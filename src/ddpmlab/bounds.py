@@ -17,7 +17,8 @@ from .metrics import (fd_bin_edges, grid_from_density, kl,
                       tv_hist_two_samples, tv_hist_vs_density)
 from .schedule import NoiseSchedule
 from .simulate import (DIVERGENCE_LIMIT, ScoreModel, TrajectoryBatch,
-                       _draw_block, _chunk_size, reverse_sde)
+                       _check_schedule, _exact_step, _frozen_score, _integrate,
+                       _reverse_grid, reverse_sde)
 from .target import GrowthConstants, MixtureTarget, default_axis
 
 __all__ = [
@@ -110,45 +111,28 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
     """
     if target.d != 1:
         raise ValueError("empirical TV side implemented for d == 1")
-    n, d = schedule.n, target.d
-    nsteps = n * substeps
-    h = 1.0 / nsteps
-    grid = np.linspace(0.0, 1.0, nsteps + 1)
-    interval = n - np.arange(nsteps) // substeps
-    betas = -n * schedule.log_alphas[interval - 1]
-    marginals = [target.marginal_at(schedule, 1.0 - r) for r in grid[:-1]]
+    _check_schedule(score_model, schedule)
+    grid, interval, betas = _reverse_grid(schedule, substeps)
+    h = 1.0 / betas.size
+    frozen_at = _frozen_score(score_model, interval, substeps)
+    acc = np.zeros(paths)
 
-    acc = np.empty(paths)
-    terminal = np.empty((paths, d))
-    alive_all = np.ones(paths, dtype=bool)
-    csize = _chunk_size(paths, nsteps + 1, d, chunk)
-    for start in range(0, paths, csize):
-        count = min(csize, paths - start)
-        _, z = _draw_block(seed, start, count, nsteps + 1, d)
-        x = z[:, 0, :].copy()
-        alive = np.ones(count, dtype=bool)
-        kk = np.zeros(count)
-        frozen = None
-        for k in range(nsteps):
-            beta = betas[k]
-            if k % substeps == 0:
-                frozen = score_model.s_frozen(int(interval[k]), x)
-            truth = marginals[k].score(x)
-            kap = truth - frozen
-            kk += beta * np.sum(kap * kap, axis=-1) * h
-            x_new = x + (0.5 * beta * x + beta * truth) * h \
-                + math.sqrt(beta * h) * z[:, k + 1, :]
-            blown = np.sqrt(np.sum(x_new * x_new, axis=-1)) > DIVERGENCE_LIMIT
-            alive &= ~blown
-            x = np.where(alive[:, None], x_new, x)
-        sl = slice(start, start + count)
-        acc[sl] = kk
-        terminal[sl] = x
-        alive_all[sl] = alive
+    def observe(k, x, truth, rows):
+        kap = truth - frozen_at(k, x)
+        acc[rows] += betas[k] * np.sum(kap * kap, axis=-1) * h
 
+    exact = _integrate(seed, paths, grid, target.d,
+                       _exact_step(target, schedule, grid, betas, observe),
+                       "terminal", chunk, "reverse")
     hat = reverse_sde(score_model, schedule, 1, paths, seed,
                       score_mode="model", record="terminal", chunk=chunk)
-    keep = alive_all & ~hat.diverged
+    keep = ~exact.diverged & ~hat.diverged
+    if not keep.any():
+        raise ValueError(
+            f"girsanov_bound: all {paths} paths were excluded for leaving the "
+            f"{DIVERGENCE_LIMIT:g} norm limit ({int(exact.diverged.sum())} on "
+            f"the exact-score path, {int(hat.diverged.sum())} on the "
+            f"frozen-score path)")
     excluded = int(paths - keep.sum())
     mean_k = float(acc[keep].mean())
     se_k = float(acc[keep].std() / math.sqrt(keep.sum()))
@@ -156,7 +140,7 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
     rhs_se = se_k / (4.0 * math.sqrt(mean_k)) if mean_k > 0.0 else 0.0
     edges = fd_bin_edges(target, int(keep.sum()))
     lhs, lhs_se = tv_hist_two_samples(hat.terminal_states[keep],
-                                      terminal[keep], edges)
+                                      exact.terminal_states[keep], edges)
     se = math.hypot(lhs_se, rhs_se)
     verdict = "holds" if lhs <= rhs + 3.0 * se else "violated"
     return BoundReport(

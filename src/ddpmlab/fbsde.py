@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import TrajectoryBatch, path_generator
+from .simulate import (TrajectoryBatch, _integrate, _reverse_grid,
+                       _reverse_marginals)
 from .target import MixtureTarget, default_axis
 
 __all__ = [
@@ -73,11 +74,8 @@ def _batch_substeps(schedule: NoiseSchedule, batch: TrajectoryBatch) -> int:
 
 
 def _step_betas(schedule: NoiseSchedule, batch: TrajectoryBatch) -> np.ndarray:
-    """Constant beta over each reverse substep, resolved by index arithmetic."""
-    substeps = _batch_substeps(schedule, batch)
-    nsteps = batch.times.size - 1
-    interval = schedule.n - np.arange(nsteps) // substeps
-    return -schedule.n * schedule.log_alphas[interval - 1]
+    """Constant beta over each reverse substep of the batch grid."""
+    return _reverse_grid(schedule, _batch_substeps(schedule, batch))[2]
 
 
 def _check_batch(batch: TrajectoryBatch):
@@ -85,10 +83,6 @@ def _check_batch(batch: TrajectoryBatch):
         raise ValueError("expected a reverse batch")
     if batch.noises is None:
         raise ValueError("batch lacks retained noises; simulate with record='full'")
-
-
-def _grid_marginals(target, schedule, times):
-    return [target.marginal_at(schedule, 1.0 - r) for r in times]
 
 
 @dataclass
@@ -116,7 +110,7 @@ def bsde_processes(target: MixtureTarget, schedule: NoiseSchedule,
     _check_batch(batch)
     times = batch.times
     betas = _step_betas(schedule, batch)
-    marginals = _grid_marginals(target, schedule, times)
+    marginals = _reverse_marginals(target, schedule, times)
     y = np.empty_like(batch.states)
     z = np.empty(batch.states.shape + (batch.d,))
     for k, law in enumerate(marginals):
@@ -137,7 +131,7 @@ def _residual_accumulators(target, schedule, batch, t_index):
         raise ValueError("t_index outside the simulation grid")
     h = times[1] - times[0]
     betas = _step_betas(schedule, batch)
-    marginals = _grid_marginals(target, schedule, times)
+    marginals = _reverse_marginals(target, schedule, times)
     drift = np.zeros((batch.paths, batch.d))
     ito = np.zeros((batch.paths, batch.d))
     for k in range(t_index, nsteps):
@@ -197,7 +191,7 @@ def z_energy(target: MixtureTarget, schedule: NoiseSchedule,
     times = batch.times
     h = times[1] - times[0]
     betas = _step_betas(schedule, batch)
-    marginals = _grid_marginals(target, schedule, times)
+    marginals = _reverse_marginals(target, schedule, times)
     acc = np.zeros(batch.paths)
     for k in range(times.size - 1):
         hess = marginals[k].hessian_log(batch.states[:, k])
@@ -221,7 +215,7 @@ def _realized_integral(target, schedule, batch, t_index):
     times = batch.times
     h = times[1] - times[0]
     betas = _step_betas(schedule, batch)
-    marginals = _grid_marginals(target, schedule, times)
+    marginals = _reverse_marginals(target, schedule, times)
     integral = np.zeros((batch.paths, batch.d))
     for k in range(t_index, times.size - 1):
         g = betas[k] * math.exp(0.5 * schedule.integrated_beta(1.0 - times[k]))
@@ -356,24 +350,21 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
     if times[0] < 0.0 or times[-1] > 1.0:
         raise ValueError("checkpoints must lie in [0, 1]")
     d = target.d
-    n_ckpt = times.size
-    values = np.empty((paths, n_ckpt))
-    chunk = max(256, min(paths, 4_000_000 // n_ckpt))
     g_total = float(schedule.integrated_beta(1.0))
-    laws = [target.marginal_at(schedule, 1.0 - t) for t in times]
+    laws = _reverse_marginals(target, schedule, times)
     prefs = [math.exp(0.5 * d * (g_total - float(schedule.integrated_beta(1.0 - t))))
              for t in times]
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        z = np.empty((count, n_ckpt, d))
-        for j in range(count):
-            z[j] = path_generator(seed, start + j).standard_normal((n_ckpt, d))
-        y = z[:, 0, :].copy()
-        for k in range(n_ckpt):
-            values[start:start + count, k] = prefs[k] * laws[k].pdf(y)
-            if k + 1 < n_ckpt:
-                m = schedule.bridge(1.0 - times[k + 1], 1.0 - times[k]).m
-                y = y / m + math.sqrt(max(0.0, 1.0 / m**2 - 1.0)) * z[:, k + 1, :]
+    ms = [schedule.bridge(1.0 - b, 1.0 - a).m for a, b in zip(times[:-1], times[1:])]
+
+    def step(k, y, z, rows):
+        m = ms[k]
+        return y / m + math.sqrt(max(0.0, 1.0 / m**2 - 1.0)) * z
+
+    # Y grows like exp(int beta / 2) by design; no path is frozen
+    states = _integrate(seed, paths, times, d, step, "full", None,
+                        "auxiliary", limit=math.inf).states
+    values = np.column_stack([pref * law.pdf(states[:, k])
+                              for k, (pref, law) in enumerate(zip(prefs, laws))])
     means = values.mean(axis=0)
     ses = values.std(axis=0) / math.sqrt(paths)
     axis = default_axis(target)
@@ -394,6 +385,6 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
         "means": means,
         "std_errs": ses,
         "reference": reference,
-        "max_drift_z": float(drift_z[1:].max()) if n_ckpt > 1 else 0.0,
+        "max_drift_z": float(drift_z[1:].max()) if times.size > 1 else 0.0,
         "min_value": float(values.min()),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import ScoreModel, path_generator
+from .simulate import ScoreModel, _draw_block, _draw_data
 from .target import GaussianMixtureDensity, GrowthConstants, MixtureTarget, default_axis
 
 __all__ = [
@@ -136,6 +136,11 @@ def _bin_fractions(samples: np.ndarray, edges: np.ndarray):
     return counts / x.size
 
 
+def _require_samples(name, *sample_sets):
+    if any(np.size(s) == 0 for s in sample_sets):
+        raise ValueError(f"{name}: a sample set is empty")
+
+
 def _tv_se(signs, masses, n):
     d = float(np.sum(signs * masses))
     return 0.5 * math.sqrt(max(0.0, 1.0 - d * d) / n)
@@ -150,6 +155,7 @@ def tv_hist_vs_density(samples: np.ndarray, target: GaussianMixtureDensity,
     printed alongside bound verdicts; binning bias is O(width^2) for the
     smooth densities audited here and is not separately estimated.
     """
+    _require_samples("tv_hist_vs_density", samples)
     n = samples.size
     q = _bin_masses_analytic(target, edges)
     p_hat = _bin_fractions(samples, edges)
@@ -163,6 +169,7 @@ def tv_hist_vs_density(samples: np.ndarray, target: GaussianMixtureDensity,
 def tv_hist_two_samples(samples_a: np.ndarray, samples_b: np.ndarray,
                         edges: np.ndarray):
     """Histogram TV between two sample sets on shared bins: (tv, std_err)."""
+    _require_samples("tv_hist_two_samples", samples_a, samples_b)
     pa = _bin_fractions(samples_a, edges)
     pb = _bin_fractions(samples_b, edges)
     value = 0.5 * float(np.abs(pa - pb).sum())
@@ -183,19 +190,8 @@ class LossReport:
 
 def _forward_pairs(target: MixtureTarget, samples: int, seed: int):
     """(x0, Z) pairs from per-sample substreams."""
-    d = target.d
-    x0 = np.empty((samples, d))
-    z = np.empty((samples, d))
-    chol = np.linalg.cholesky(target.covariance)
-    cumw = np.cumsum(target.weights)
-    for s in range(samples):
-        gen = path_generator(seed, s)
-        comp = min(int(np.searchsorted(cumw, gen.random())),
-                   target.n_components - 1)
-        draws = gen.standard_normal((2, d))
-        x0[s] = target.means[comp] + draws[0] @ chol.T
-        z[s] = draws[1]
-    return x0, z
+    u, draws = _draw_block(seed, 0, samples, 2, target.d, with_uniform=True)
+    return _draw_data(target, u, draws[:, 0, :]), draws[:, 1, :]
 
 
 def score_loss(target: MixtureTarget, schedule: NoiseSchedule,

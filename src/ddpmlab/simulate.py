@@ -216,47 +216,125 @@ def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
                       _clip=(score_model, envelope, variant))
 
 
+def _draw_data(target: MixtureTarget, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Data draws x0 ~ target: the uniforms u pick the components and the
+    normal rows z (one per path) shape the component Gaussians."""
+    comp = np.minimum(np.searchsorted(np.cumsum(target.weights), u),
+                      target.n_components - 1)
+    return target.means[comp] + z @ np.linalg.cholesky(target.covariance).T
+
+
+def _integrate(seed, paths, times, d, step, record, chunk, direction,
+               start_state=None, limit=DIVERGENCE_LIMIT) -> TrajectoryBatch:
+    """The stepping loop behind every sampler.
+
+    Paths run in chunks on their own noise streams (`_draw_block`).  The
+    first normal row of a path is its initial state, or, with `start_state`,
+    is passed with one leading uniform to start_state(u, z0).  Step k maps
+    a chunk's states x to step(k, x, z, rows), with z the chunk's normal row
+    for that step and `rows` the chunk's slice of the batch.  A path whose
+    new state exceeds `limit` in norm is frozen and flagged in `diverged`.
+    record="full" keeps every state on `times` and the step noises;
+    record="terminal" keeps the initial and final states only.
+    """
+    if record not in ("full", "terminal"):
+        raise ValueError(f"record must be 'full' or 'terminal', got {record!r}")
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    steps = times.size - 1
+    full = record == "full"
+    states = np.empty((paths, steps + 1 if full else 2, d))
+    noises = np.empty((paths, steps, d)) if full else None
+    diverged = np.zeros(paths, dtype=bool)
+    csize = _chunk_size(paths, steps + 1, d, chunk)
+    for begin in range(0, paths, csize):
+        count = min(csize, paths - begin)
+        u, z = _draw_block(seed, begin, count, steps + 1, d,
+                           with_uniform=start_state is not None)
+        x = z[:, 0, :].copy() if start_state is None else start_state(u, z[:, 0, :])
+        alive = np.ones(count, dtype=bool)
+        rows = slice(begin, begin + count)
+        states[rows, 0] = x
+        if full:
+            noises[rows] = z[:, 1:, :]
+        for k in range(steps):
+            x_new = step(k, x, z[:, k + 1, :], rows)
+            alive &= ~(np.sqrt(np.sum(x_new * x_new, axis=-1)) > limit)
+            x = np.where(alive[:, None], x_new, x)
+            if full:
+                states[rows, k + 1] = x
+        if not full:
+            states[rows, 1] = x
+        diverged[rows] = ~alive
+    return TrajectoryBatch(times=times if full else np.array([0.0, 1.0]),
+                           states=states, noises=noises, direction=direction,
+                           diverged=diverged)
+
+
+def _check_schedule(score_model: ScoreModel, schedule: NoiseSchedule) -> None:
+    if not np.array_equal(score_model.schedule.alphas, schedule.alphas):
+        raise ValueError(
+            f"the score model was built on a {score_model.schedule.n}-step "
+            f"schedule that differs from the {schedule.n}-step schedule passed")
+
+
 def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
                   seed: int, record: str = "full", chunk=None) -> TrajectoryBatch:
     """Forward Markov chain x_i = sqrt(alpha_i) x_{i-1} + sqrt(1-alpha_i) Z_i."""
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    n, d = schedule.n, target.d
     sqrt_a = np.sqrt(schedule.alphas)
     sqrt_v = np.sqrt(1.0 - schedule.alphas)
-    full = record == "full"
-    states = np.empty((paths, n + 1, d)) if full else np.empty((paths, 2, d))
-    noises = np.empty((paths, n, d)) if full else None
-    csize = _chunk_size(paths, n + 1, d, chunk)
-    chol = np.linalg.cholesky(target.covariance)
-    for start in range(0, paths, csize):
-        count = min(csize, paths - start)
-        u, z = _draw_block(seed, start, count, n + 1, d, with_uniform=True)
-        comp = np.minimum(np.searchsorted(np.cumsum(target.weights), u),
-                          target.n_components - 1)
-        x = target.means[comp] + z[:, 0, :] @ chol.T
-        sl = slice(start, start + count)
-        states[sl, 0] = x
-        if full:
-            noises[sl] = z[:, 1:, :]
-        for i in range(1, n + 1):
-            x = sqrt_a[i - 1] * x + sqrt_v[i - 1] * z[:, i, :]
-            if full:
-                states[sl, i] = x
-        if not full:
-            states[sl, 1] = x
-    times = schedule.times if full else np.array([0.0, 1.0])
-    return TrajectoryBatch(times=times, states=states, noises=noises,
-                           direction="forward")
+
+    def step(k, x, z, rows):
+        return sqrt_a[k] * x + sqrt_v[k] * z
+
+    return _integrate(seed, paths, schedule.times, target.d, step, record, chunk,
+                      "forward", start_state=lambda u, z: _draw_data(target, u, z))
 
 
-def _reverse_grid(schedule: NoiseSchedule, substeps: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, schedule.n * substeps + 1)
+def _reverse_grid(schedule: NoiseSchedule, substeps: int):
+    """Reverse grid with `substeps` points per schedule interval, the forward
+    step index of the interval covering each substep, and the constant beta
+    over each substep (index arithmetic, no knot rounding)."""
+    nsteps = schedule.n * substeps
+    grid = np.linspace(0.0, 1.0, nsteps + 1)
+    interval = schedule.n - np.arange(nsteps) // substeps
+    return grid, interval, -schedule.n * schedule.log_alphas[interval - 1]
 
 
-def _exact_marginals(target, schedule, grid):
-    """Marginal laws p_{1-r} for every reverse grid point r."""
-    return [target.marginal_at(schedule, 1.0 - r) for r in grid]
+def _reverse_marginals(target, schedule, times):
+    """Marginal laws p_{1-r} for every reverse time r."""
+    return [target.marginal_at(schedule, 1.0 - r) for r in times]
+
+
+def _exact_step(target, schedule, grid, betas, observe=None):
+    """Euler-Maruyama step of the reverse SDE with the true marginal score;
+    observe(k, x, score, rows), when given, sees the score each step uses."""
+    h = 1.0 / betas.size
+    marginals = _reverse_marginals(target, schedule, grid[:-1])
+
+    def step(k, x, z, rows):
+        beta = betas[k]
+        score = marginals[k].score(x)
+        if observe is not None:
+            observe(k, x, score, rows)
+        drift = 0.5 * beta * x + beta * score
+        return x + drift * h + math.sqrt(beta * h) * z
+
+    return step
+
+
+def _frozen_score(score_model, interval, substeps):
+    """s(1 - tau_n(t), X_{tau_n(t)}) as a function of (k, x): the model score
+    taken at the state where the current interval began."""
+    frozen = None
+
+    def at(k, x):
+        nonlocal frozen
+        if k % substeps == 0:
+            frozen = score_model.s_frozen(int(interval[k]), x)
+        return frozen
+
+    return at
 
 
 def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
@@ -282,64 +360,29 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
         raise TypeError("exact mode integrates against an analytic target")
     if score_mode == "model" and not isinstance(source, ScoreModel):
         raise TypeError("model mode needs a ScoreModel")
-    target = source if score_mode == "exact" else source.target
-    n, d = schedule.n, target.d
-    grid = _reverse_grid(schedule, substeps)
-    nsteps = grid.size - 1
-    h = 1.0 / nsteps
-    # forward step index of the interval covering reverse substep k, and the
-    # constant beta over that substep (index arithmetic, no knot rounding)
-    step_interval = n - np.arange(nsteps) // substeps
-    beta_rev = -n * schedule.log_alphas[step_interval - 1]
-    marginals = _exact_marginals(target, schedule, grid) if score_mode == "exact" else None
+    grid, interval, betas = _reverse_grid(schedule, substeps)
+    if score_mode == "exact":
+        return _integrate(seed, paths, grid, source.d,
+                          _exact_step(source, schedule, grid, betas), record,
+                          chunk, "reverse")
+    _check_schedule(source, schedule)
+    frozen_at = _frozen_score(source, interval, substeps)
+    h = 1.0 / betas.size
 
-    full = record == "full"
-    states = np.empty((paths, grid.size, d)) if full else np.empty((paths, 2, d))
-    noises = np.empty((paths, nsteps, d)) if full else None
-    diverged = np.zeros(paths, dtype=bool)
-    csize = _chunk_size(paths, nsteps + 1, d, chunk)
-    for start in range(0, paths, csize):
-        count = min(csize, paths - start)
-        _, z = _draw_block(seed, start, count, nsteps + 1, d)
-        x = z[:, 0, :].copy()
-        alive = np.ones(count, dtype=bool)
-        sl = slice(start, start + count)
-        if full:
-            states[sl, 0] = x
-            noises[sl] = z[:, 1:, :]
-        else:
-            states[sl, 0] = x
-        frozen = None
-        for k in range(nsteps):
-            beta = beta_rev[k]
-            if score_mode == "exact":
-                drift = 0.5 * beta * x + beta * marginals[k].score(x)
-                x_new = x + drift * h + math.sqrt(beta * h) * z[:, k + 1, :]
-            else:
-                i = int(step_interval[k])
-                if k % substeps == 0:
-                    frozen = source.s_frozen(i, x)
-                if substeps == 1:
-                    alpha = schedule.alphas[i - 1]
-                    ra = math.sqrt(alpha)
-                    x_new = (x / ra + 2.0 * frozen * (1.0 - ra) / ra
-                             + math.sqrt((1.0 - alpha) / alpha) * z[:, k + 1, :])
-                else:
-                    drift = 0.5 * beta * x + beta * frozen
-                    x_new = x + drift * h + math.sqrt(beta * h) * z[:, k + 1, :]
-            blown = np.sqrt(np.sum(x_new * x_new, axis=-1)) > DIVERGENCE_LIMIT
-            newly = alive & blown
-            if np.any(newly):
-                alive &= ~blown
-            x = np.where(alive[:, None], x_new, x)
-            if full:
-                states[sl, k + 1] = x
-        if not full:
-            states[sl, 1] = x
-        diverged[sl] = ~alive
-    times = grid if full else np.array([0.0, 1.0])
-    return TrajectoryBatch(times=times, states=states, noises=noises,
-                           direction="reverse", diverged=diverged)
+    def exponential_step(k, x, z, rows):
+        alpha = schedule.alphas[interval[k] - 1]
+        ra = math.sqrt(alpha)
+        return (x / ra + 2.0 * frozen_at(k, x) * (1.0 - ra) / ra
+                + math.sqrt((1.0 - alpha) / alpha) * z)
+
+    def euler_step(k, x, z, rows):
+        beta = betas[k]
+        drift = 0.5 * beta * x + beta * frozen_at(k, x)
+        return x + drift * h + math.sqrt(beta * h) * z
+
+    return _integrate(seed, paths, grid, source.target.d,
+                      exponential_step if substeps == 1 else euler_step,
+                      record, chunk, "reverse")
 
 
 def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
@@ -353,43 +396,22 @@ def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
     omitting the i = 1 noise when final_noise is False.  States are stored on
     the reverse-time grid: column j holds x*_{n-j}.
     """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    n, d = schedule.n, score_model.target.d
+    _check_schedule(score_model, schedule)
+    n = schedule.n
     alphas = schedule.alphas
     abars = schedule.alpha_bars
     sigmas = schedule.sigmas
-    full = record == "full"
-    states = np.empty((paths, n + 1, d)) if full else np.empty((paths, 2, d))
-    noises = np.empty((paths, n, d)) if full else None
-    diverged = np.zeros(paths, dtype=bool)
-    csize = _chunk_size(paths, n + 1, d, chunk)
-    for start in range(0, paths, csize):
-        count = min(csize, paths - start)
-        _, z = _draw_block(seed, start, count, n + 1, d)
-        x = z[:, 0, :].copy()
-        alive = np.ones(count, dtype=bool)
-        sl = slice(start, start + count)
-        states[sl, 0] = x
-        if full:
-            noises[sl] = z[:, 1:, :]
-        for j in range(n):
-            i = n - j
-            coeff = (1.0 - alphas[i - 1]) / math.sqrt(1.0 - abars[i - 1])
-            x_new = (x - coeff * score_model.z_step(i, x)) / math.sqrt(alphas[i - 1])
-            if i > 1 or final_noise:
-                x_new = x_new + sigmas[i - 1] * z[:, j + 1, :]
-            blown = np.sqrt(np.sum(x_new * x_new, axis=-1)) > DIVERGENCE_LIMIT
-            alive &= ~blown
-            x = np.where(alive[:, None], x_new, x)
-            if full:
-                states[sl, j + 1] = x
-        if not full:
-            states[sl, 1] = x
-        diverged[sl] = ~alive
-    times = schedule.times if full else np.array([0.0, 1.0])
-    return TrajectoryBatch(times=times, states=states, noises=noises,
-                           direction="ddpm", diverged=diverged)
+
+    def step(k, x, z, rows):
+        i = n - k
+        coeff = (1.0 - alphas[i - 1]) / math.sqrt(1.0 - abars[i - 1])
+        x_new = (x - coeff * score_model.z_step(i, x)) / math.sqrt(alphas[i - 1])
+        if i > 1 or final_noise:
+            x_new = x_new + sigmas[i - 1] * z
+        return x_new
+
+    return _integrate(seed, paths, schedule.times, score_model.target.d, step,
+                      record, chunk, "ddpm")
 
 
 def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,

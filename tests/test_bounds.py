@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,40 @@ def test_girsanov_exact_model_discretization_only():
                             8000, 2, seed=8)
     assert rep.rhs < biased.rhs
     assert rep.verdict == "holds"
+
+
+def test_girsanov_all_paths_excluded_raises():
+    sched = constant_rate(20, 4.0)
+    model = ScoreModel(MIX, sched, mode="perturbed", bias=1e7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="all 300 paths were excluded.*0 on the "
+                                 "exact-score path, 300 on the frozen-score"):
+            girsanov_bound(MIX, sched, model, 300, 2, seed=3)
+
+
+def test_girsanov_kappa_energy_matches_public_replay():
+    # the kappa energy, refolded from public exact-score states in the bound's
+    # summation order: beta |grad log p - s_frozen(interval start)|^2 h per step
+    sched = constant_rate(20, 4.0)
+    substeps, paths = 3, 200
+    model = ScoreModel(MIX, sched, mode="perturbed", bias=0.4,
+                       noise_amplitude=0.5)
+    rep = girsanov_bound(MIX, sched, model, paths, substeps, seed=4)
+    batch = reverse_sde(MIX, sched, substeps, paths, seed=4, record="full")
+    times = batch.times
+    h = 1.0 / (times.size - 1)
+    energy = np.zeros(paths)
+    for k in range(times.size - 1):
+        interval = sched.n - k // substeps
+        beta = -sched.n * sched.log_alphas[interval - 1]
+        start = batch.states[:, k - k % substeps]
+        truth = MIX.marginal_at(sched, 1.0 - times[k]).score(batch.states[:, k])
+        kap = truth - model.s_frozen(interval, start)
+        energy += beta * np.sum(kap * kap, axis=-1) * h
+    assert rep.notes["excluded_paths"] == 0
+    assert rep.terms["kappa_energy"] == float(energy.mean())
 
 
 def test_bound_report_csv(tmp_path):

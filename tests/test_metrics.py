@@ -118,6 +118,18 @@ def test_hist_tv_two_samples_symmetric():
     assert abs(v1 - (2.0 * norm.cdf(0.25) - 1.0)) <= 3.0 * se1 + 0.02
 
 
+def test_hist_tv_rejects_empty_samples():
+    edges = fd_bin_edges(MIX, 100)
+    empty = np.empty((0, 1))
+    full = np.zeros((5, 1))
+    with pytest.raises(ValueError, match="tv_hist_vs_density: a sample set is empty"):
+        tv_hist_vs_density(empty, MIX, edges)
+    for a, b in ((empty, full), (full, empty)):
+        with pytest.raises(ValueError,
+                           match="tv_hist_two_samples: a sample set is empty"):
+            tv_hist_two_samples(a, b, edges)
+
+
 def test_score_loss_exact_model_is_zero():
     model = ScoreModel(MIX, SCHED, mode="exact")
     rep = score_loss(MIX, SCHED, model, 500, seed=4)

@@ -136,6 +136,81 @@ def test_bit_determinism_and_chunk_invariance():
     np.testing.assert_array_equal(g1, g2)
 
 
+PERT = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
+
+CHUNKED = {
+    "forward_full": lambda c: forward_chain(MIX, SCHED, 300, 11, chunk=c),
+    "forward_terminal": lambda c: forward_chain(MIX, SCHED, 300, 11,
+                                                record="terminal", chunk=c),
+    "reverse_exact_terminal": lambda c: reverse_sde(MIX, SCHED, 2, 300, 11,
+                                                    record="terminal", chunk=c),
+    "reverse_model_1": lambda c: reverse_sde(PERT, SCHED, 1, 300, 11,
+                                             score_mode="model", chunk=c),
+    "reverse_model_3": lambda c: reverse_sde(PERT, SCHED, 3, 300, 11,
+                                             score_mode="model", chunk=c),
+    "ddpm_terminal": lambda c: ddpm_sample(PERT, SCHED, 300, 11,
+                                           record="terminal", chunk=c),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED))
+def test_chunk_invariance_every_sampler(case):
+    a, b = CHUNKED[case](None), CHUNKED[case](7)
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.diverged, b.diverged)
+    if a.noises is None:
+        assert b.noises is None
+    else:
+        np.testing.assert_array_equal(a.noises, b.noises)
+
+
+def test_chunk_invariance_girsanov_bound():
+    from ddpmlab.bounds import girsanov_bound
+
+    a = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11)
+    b = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11, chunk=7)
+    assert (a.rhs, a.lhs, a.lhs_se, a.terms, a.notes) == \
+        (b.rhs, b.lhs, b.lhs_se, b.terms, b.notes)
+
+
+SAMPLERS = {
+    "forward": lambda paths, record: forward_chain(MIX, SCHED, paths, 1,
+                                                   record=record),
+    "ddpm": lambda paths, record: ddpm_sample(PERT, SCHED, paths, 1,
+                                              record=record),
+    "reverse_exact": lambda paths, record: reverse_sde(MIX, SCHED, 2, paths, 1,
+                                                       record=record),
+    "reverse_model": lambda paths, record: reverse_sde(
+        PERT, SCHED, 2, paths, 1, score_mode="model", record=record),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_reject_unknown_record_and_empty_batches(sampler):
+    run = SAMPLERS[sampler]
+    with pytest.raises(ValueError, match="record must be 'full' or 'terminal'"):
+        run(10, "Full")
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        run(0, "full")
+
+
+def test_score_model_schedule_mismatch_rejected():
+    from ddpmlab.bounds import girsanov_bound
+
+    other = constant_rate(10, 4.0)
+    model = ScoreModel(MIX, SCHED, mode="exact")
+    message = "20-step schedule that differs from the 10-step schedule"
+    with pytest.raises(ValueError, match=message):
+        ddpm_sample(model, other, 10, seed=1)
+    with pytest.raises(ValueError, match=message):
+        reverse_sde(model, other, 2, 10, seed=1, score_mode="model")
+    with pytest.raises(ValueError, match=message):
+        girsanov_bound(MIX, other, model, 10, 2, seed=1)
+    # same step count, different alphas
+    with pytest.raises(ValueError, match="20-step schedule that differs"):
+        ddpm_sample(model, constant_rate(20, 3.0), 10, seed=1)
+
+
 def test_strong_convergence_order_one():
     # coupled refinement: coarse increments are pair sums of fine ones;
     # the additive-noise Euler scheme converges at first order, i.e.
