@@ -68,7 +68,8 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
     (empirical estimator for d = 1).
     """
     if target.d != 1:
-        raise ValueError("empirical TV side implemented for d == 1")
+        raise ValueError("schrodinger_bound: the empirical TV side is implemented "
+                         f"for d == 1, got d = {target.d}")
     m = schedule.bridge(0.0, 1.0).m
     axis = default_axis(target)
     phi_grid = grid_from_density(_standard_normal_density(target.d), (axis,))
@@ -110,7 +111,8 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
     exactly.  Divergent paths are excluded and counted.
     """
     if target.d != 1:
-        raise ValueError("empirical TV side implemented for d == 1")
+        raise ValueError("girsanov_bound: the empirical TV side is implemented "
+                         f"for d == 1, got d = {target.d}")
     _check_schedule(score_model, schedule)
     grid, interval, betas = _reverse_grid(schedule, substeps)
     h = 1.0 / betas.size

@@ -78,6 +78,17 @@ def _step_betas(schedule: NoiseSchedule, batch: TrajectoryBatch) -> np.ndarray:
     return _reverse_grid(schedule, _batch_substeps(schedule, batch))[2]
 
 
+def _along(target, schedule, batch, start, terminal=False):
+    """(beta_k, law of X at reverse time t_k, X_k) for each substep k from
+    `start`, streaming over the batch grid; with `terminal`, the last grid
+    point follows under the last substep's beta."""
+    times = batch.times
+    betas = _step_betas(schedule, batch)
+    for k in range(start, times.size if terminal else times.size - 1):
+        yield (betas[min(k, betas.size - 1)],
+               target.marginal_at(schedule, 1.0 - times[k]), batch.states[:, k])
+
+
 def _check_batch(batch: TrajectoryBatch):
     if batch.direction != "reverse":
         raise ValueError("expected a reverse batch")
@@ -108,43 +119,15 @@ class BsdeProcesses:
 def bsde_processes(target: MixtureTarget, schedule: NoiseSchedule,
                    batch: TrajectoryBatch) -> BsdeProcesses:
     _check_batch(batch)
-    times = batch.times
-    betas = _step_betas(schedule, batch)
-    marginals = _reverse_marginals(target, schedule, times)
     y = np.empty_like(batch.states)
     z = np.empty(batch.states.shape + (batch.d,))
-    for k, law in enumerate(marginals):
-        b = betas[min(k, betas.size - 1)]
-        y[:, k] = law.score(batch.states[:, k])
-        z[:, k] = math.sqrt(b) * law.hessian_log(batch.states[:, k])
+    points = _along(target, schedule, batch, 0, terminal=True)
+    for k, (beta, law, x) in enumerate(points):
+        y[:, k] = law.score(x)
+        z[:, k] = math.sqrt(beta) * law.hessian_log(x)
     return BsdeProcesses(y=y, z=z,
-                         f_values=f_weight(schedule, times[:-1]),
-                         g_values=g_weight(schedule, times[:-1]))
-
-
-def _residual_accumulators(target, schedule, batch, t_index):
-    """Shared pieces of the backward relation: terminal score, Y_t, the
-    drift integral sum and the Ito sum from t_index to the end."""
-    times = batch.times
-    nsteps = times.size - 1
-    if not 0 <= t_index <= nsteps:
-        raise ValueError("t_index outside the simulation grid")
-    h = times[1] - times[0]
-    betas = _step_betas(schedule, batch)
-    marginals = _reverse_marginals(target, schedule, times)
-    drift = np.zeros((batch.paths, batch.d))
-    ito = np.zeros((batch.paths, batch.d))
-    for k in range(t_index, nsteps):
-        xk = batch.states[:, k]
-        beta = betas[k]
-        yk = marginals[k].score(xk)
-        zk = math.sqrt(beta) * marginals[k].hessian_log(xk)
-        dw = math.sqrt(h) * batch.noises[:, k]
-        drift += beta * yk * h
-        ito += np.einsum("pij,pj->pi", zk, dw)
-    terminal = target.score(batch.states[:, -1])
-    y_t = marginals[t_index].score(batch.states[:, t_index])
-    return terminal, y_t, drift, ito
+                         f_values=f_weight(schedule, batch.times[:-1]),
+                         g_values=g_weight(schedule, batch.times[:-1]))
 
 
 def _stats_from_residual(res, batch, t_index, drift_sign, schedule):
@@ -164,19 +147,32 @@ def bsde_residual(target: MixtureTarget, schedule: NoiseSchedule,
                   batch: TrajectoryBatch, t_index: int,
                   drift_sign: int) -> ResidualStats:
     """Residual statistics of the backward relation from grid index t_index."""
-    _check_batch(batch)
     if drift_sign not in (-1, 1):
         raise ValueError("drift_sign must be +1 or -1")
-    terminal, y_t, drift, ito = _residual_accumulators(target, schedule, batch, t_index)
-    res = terminal - y_t - drift_sign * 0.5 * drift - ito
-    return _stats_from_residual(res, batch, t_index, drift_sign, schedule)
+    return bsde_residual_both(target, schedule, batch, t_index)[drift_sign]
 
 
 def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
                        batch: TrajectoryBatch, t_index: int) -> dict:
-    """Residual statistics for both drift signs from one pass over the batch."""
+    """Residual statistics for both drift signs from one pass over the batch:
+    terminal score, Y_t, and the drift and Ito sums from t_index to the end."""
     _check_batch(batch)
-    terminal, y_t, drift, ito = _residual_accumulators(target, schedule, batch, t_index)
+    times = batch.times
+    if not 0 <= t_index <= times.size - 1:
+        raise ValueError("t_index outside the simulation grid")
+    h = times[1] - times[0]
+    drift = np.zeros((batch.paths, batch.d))
+    ito = np.zeros((batch.paths, batch.d))
+    for k, (beta, law, xk) in enumerate(_along(target, schedule, batch, t_index),
+                                        t_index):
+        yk = law.score(xk)
+        zk = math.sqrt(beta) * law.hessian_log(xk)
+        dw = math.sqrt(h) * batch.noises[:, k]
+        drift += beta * yk * h
+        ito += np.einsum("pij,pj->pi", zk, dw)
+    terminal = target.score(batch.states[:, -1])
+    y_t = target.marginal_at(schedule, 1.0 - times[t_index]).score(
+        batch.states[:, t_index])
     out = {}
     for sign in (-1, 1):
         res = terminal - y_t - sign * 0.5 * drift - ito
@@ -188,14 +184,10 @@ def z_energy(target: MixtureTarget, schedule: NoiseSchedule,
              batch: TrajectoryBatch) -> float:
     """Monte Carlo E* int_0^1 |Z_t|_F^2 dt; equals d * int_0^1 beta for Gaussians."""
     _check_batch(batch)
-    times = batch.times
-    h = times[1] - times[0]
-    betas = _step_betas(schedule, batch)
-    marginals = _reverse_marginals(target, schedule, times)
+    h = batch.times[1] - batch.times[0]
     acc = np.zeros(batch.paths)
-    for k in range(times.size - 1):
-        hess = marginals[k].hessian_log(batch.states[:, k])
-        acc += betas[k] * np.sum(hess**2, axis=(-2, -1)) * h
+    for beta, law, x in _along(target, schedule, batch, 0):
+        acc += beta * np.sum(law.hessian_log(x) ** 2, axis=(-2, -1)) * h
     return float(acc[~batch.diverged].mean())
 
 
@@ -212,14 +204,11 @@ class YastReport:
 
 def _realized_integral(target, schedule, batch, t_index):
     """Left-point sum of g(r) Y_r over [t, 1] per path."""
-    times = batch.times
-    h = times[1] - times[0]
-    betas = _step_betas(schedule, batch)
-    marginals = _reverse_marginals(target, schedule, times)
+    h = batch.times[1] - batch.times[0]
     integral = np.zeros((batch.paths, batch.d))
-    for k in range(t_index, times.size - 1):
-        g = betas[k] * math.exp(0.5 * schedule.integrated_beta(1.0 - times[k]))
-        integral += g * marginals[k].score(batch.states[:, k]) * h
+    for beta, law, x in _along(target, schedule, batch, t_index):
+        g = beta * math.exp(0.5 * schedule.integrated_beta(law.t))
+        integral += g * law.score(x) * h
     return integral
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import ScoreModel, _draw_block, _draw_data
+from .simulate import ScoreModel, _draw_block
 from .target import GaussianMixtureDensity, GrowthConstants, MixtureTarget, default_axis
 
 __all__ = [
@@ -113,7 +113,8 @@ def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int,
     `min_bins` bins, so the binning is deterministic and target-adapted.
     """
     if target.d != 1:
-        raise ValueError("histogram TV is implemented for d == 1")
+        raise ValueError("fd_bin_edges: histogram TV is implemented for d == 1, "
+                         f"got d = {target.d}")
     axis = default_axis(target)
     lo, hi = float(axis[0]), float(axis[-1])
     width = 2.0 * _target_iqr(target) / max(n_samples, 1) ** (1.0 / 3.0)
@@ -191,7 +192,7 @@ class LossReport:
 def _forward_pairs(target: MixtureTarget, samples: int, seed: int):
     """(x0, Z) pairs from per-sample substreams."""
     u, draws = _draw_block(seed, 0, samples, 2, target.d, with_uniform=True)
-    return _draw_data(target, u, draws[:, 0, :]), draws[:, 1, :]
+    return target._from_draws(u, draws[:, 0, :]), draws[:, 1, :]
 
 
 def score_loss(target: MixtureTarget, schedule: NoiseSchedule,

@@ -216,14 +216,6 @@ def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
                       _clip=(score_model, envelope, variant))
 
 
-def _draw_data(target: MixtureTarget, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Data draws x0 ~ target: the uniforms u pick the components and the
-    normal rows z (one per path) shape the component Gaussians."""
-    comp = np.minimum(np.searchsorted(np.cumsum(target.weights), u),
-                      target.n_components - 1)
-    return target.means[comp] + z @ np.linalg.cholesky(target.covariance).T
-
-
 def _integrate(seed, paths, times, d, step, record, chunk, direction,
                start_state=None, limit=DIVERGENCE_LIMIT) -> TrajectoryBatch:
     """The stepping loop behind every sampler.
@@ -233,7 +225,8 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     is passed with one leading uniform to start_state(u, z0).  Step k maps
     a chunk's states x to step(k, x, z, rows), with z the chunk's normal row
     for that step and `rows` the chunk's slice of the batch.  A path whose
-    new state exceeds `limit` in norm is frozen and flagged in `diverged`.
+    new state is not within `limit` in norm (NaN included) is frozen and
+    flagged in `diverged`.
     record="full" keeps every state on `times` and the step noises;
     record="terminal" keeps the initial and final states only.
     """
@@ -259,7 +252,7 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
             noises[rows] = z[:, 1:, :]
         for k in range(steps):
             x_new = step(k, x, z[:, k + 1, :], rows)
-            alive &= ~(np.sqrt(np.sum(x_new * x_new, axis=-1)) > limit)
+            alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
             x = np.where(alive[:, None], x_new, x)
             if full:
                 states[rows, k + 1] = x
@@ -288,7 +281,7 @@ def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
         return sqrt_a[k] * x + sqrt_v[k] * z
 
     return _integrate(seed, paths, schedule.times, target.d, step, record, chunk,
-                      "forward", start_state=lambda u, z: _draw_data(target, u, z))
+                      "forward", start_state=target._from_draws)
 
 
 def _reverse_grid(schedule: NoiseSchedule, substeps: int):

@@ -5,12 +5,15 @@ intermediate time, its score, its Hessian of log density, and even third
 derivatives are all available in closed form.  That makes it the exact
 oracle against which every sampler and bound in this package is audited.
 
-Derivative identities used throughout (pi_k are the posterior component
-weights at x, m_k = Sigma^{-1}(mu_k - x), gbar = sum_k pi_k m_k):
+The precision P = Sigma^{-1} is shared, so -x^T P x / 2 cancels between
+components: the posterior weights pi_k(x) are a softmax of the affine logits
+l_k(x) = x . P mu_k - mu_k . P mu_k / 2 + log w_k.  With m_k = P(mu_k - x),
+x cancels again in the centred rows c_k = m_k - sum_j pi_j m_j
+= P mu_k - sum_j pi_j P mu_j, so every derivative is a product with P mu_k:
 
-    grad log p      = gbar
-    hess log p      = -Sigma^{-1} + Cov_pi(m)
-    third deriv     = third central moment of m under pi  (fully symmetric)
+    grad log p      = sum_k pi_k P mu_k - P x
+    hess log p      = -P + sum_k pi_k c_k c_k^T           (= -P + Cov_pi(m))
+    third deriv     = sum_k pi_k c_k (x) c_k (x) c_k      (fully symmetric)
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "GaussianMixtureDensity",
@@ -81,10 +83,11 @@ class GaussianMixtureDensity:
         self.precision = np.linalg.inv(self.covariance)
         self.precision = 0.5 * (self.precision + self.precision.T)
         self.precision.flags.writeable = False
-        self._log_norm = -0.5 * self.d * math.log(2.0 * math.pi) - np.log(
-            np.diag(self._chol)
-        ).sum()
-        self._log_w = np.log(self.weights)
+        self._log_norm = (-0.5 * self.d * math.log(2.0 * math.pi)
+                          - np.log(np.diag(self._chol)).sum())
+        self._p_mu = self.means @ self.precision
+        self._logit_offset = (np.log(self.weights)
+                              - 0.5 * np.sum(self.means * self._p_mu, axis=1))
 
     @property
     def d(self) -> int:
@@ -94,62 +97,52 @@ class GaussianMixtureDensity:
     def n_components(self) -> int:
         return self.means.shape[0]
 
-    def _component_logpdf(self, x):
-        """Log density of each component at x; shape (..., K)."""
-        x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - self.means  # (..., K, d)
-        sol = np.einsum("ij,...kj->...ki", self.precision, diff)
-        return self._log_norm - 0.5 * np.einsum("...ki,...ki->...k", diff, sol)
+    def _logits(self, x):
+        """Logits l_k(x) less their maximum over k, and that maximum."""
+        logits = np.asarray(x, dtype=float) @ self._p_mu.T + self._logit_offset
+        top = logits.max(axis=-1, keepdims=True)
+        logits -= top
+        return logits, top
 
     def logpdf(self, x):
-        return logsumexp(self._component_logpdf(x) + self._log_w, axis=-1)
+        x = np.asarray(x, dtype=float)
+        logits, top = self._logits(x)
+        return (self._log_norm - 0.5 * np.sum(x * (x @ self.precision), axis=-1)
+                + top[..., 0] + np.log(np.exp(logits).sum(axis=-1)))
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
     def posterior_weights(self, x):
         """pi_k(x), summing to 1 at every x; shape (..., K)."""
-        logits = self._component_logpdf(x) + self._log_w
-        logits -= logsumexp(logits, axis=-1, keepdims=True)
-        return np.exp(logits)
+        pi = np.exp(self._logits(x)[0])
+        pi /= pi.sum(axis=-1, keepdims=True)
+        return pi
 
     def score(self, x):
-        """grad log p(x), shape (..., d)."""
+        """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d)."""
         x = np.asarray(x, dtype=float)
+        return self.posterior_weights(x) @ self._p_mu - x @ self.precision
+
+    def _centred(self, x):
+        """pi and the rows c_k = P mu_k - sum_j pi_j P mu_j; shape (..., K, d)."""
         pi = self.posterior_weights(x)
-        mk = np.einsum("ij,...kj->...ki", self.precision, self.means - x[..., None, :])
-        return np.einsum("...k,...ki->...i", pi, mk)
+        return pi, self._p_mu - (pi @ self._p_mu)[..., None, :]
 
     def hessian_log(self, x):
-        """hess log p(x), symmetric, shape (..., d, d)."""
-        x = np.asarray(x, dtype=float)
-        pi = self.posterior_weights(x)
-        mk = np.einsum("ij,...kj->...ki", self.precision, self.means - x[..., None, :])
-        gbar = np.einsum("...k,...ki->...i", pi, mk)
-        second = np.einsum("...k,...ki,...kj->...ij", pi, mk, mk)
-        return -self.precision + second - gbar[..., :, None] * gbar[..., None, :]
+        """hess log p(x) = -P + sum_k pi_k c_k c_k^T, shape (..., d, d)."""
+        pi, cen = self._centred(x)
+        return np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - self.precision
 
     def score_laplacian(self, x):
-        """Componentwise Laplacian of the score, shape (..., d).
-
-        Equals the (k, a, a)-trace of the third derivative tensor of log p,
-        which is the third central moment of m_k under the posterior.
-        """
-        x = np.asarray(x, dtype=float)
-        pi = self.posterior_weights(x)
-        mk = np.einsum("ij,...kj->...ki", self.precision, self.means - x[..., None, :])
-        gbar = np.einsum("...k,...ki->...i", pi, mk)
-        cen = mk - gbar[..., None, :]
-        # trace over the last two slots of the central third moment
-        return np.einsum("...k,...ki,...ka,...ka->...i", pi, cen, cen, cen)
+        """Componentwise Laplacian of the score, shape (..., d): the (k, a, a)
+        trace of the third derivative, sum_k pi_k |c_k|^2 c_k."""
+        pi, cen = self._centred(x)
+        return np.einsum("...k,...ki,...k->...i", pi, cen, np.sum(cen * cen, axis=-1))
 
     def third_log_derivative(self, x):
         """Full third derivative tensor of log p, shape (..., d, d, d)."""
-        x = np.asarray(x, dtype=float)
-        pi = self.posterior_weights(x)
-        mk = np.einsum("ij,...kj->...ki", self.precision, self.means - x[..., None, :])
-        gbar = np.einsum("...k,...ki->...i", pi, mk)
-        cen = mk - gbar[..., None, :]
+        pi, cen = self._centred(x)
         return np.einsum("...k,...ka,...kb,...kc->...abc", pi, cen, cen, cen)
 
     def grad_pdf(self, x):
@@ -174,9 +167,12 @@ class GaussianMixtureDensity:
     def sample(self, generator, size: int) -> np.ndarray:
         """Draw samples; consumes `size` uniforms then `size*d` normals."""
         u = generator.random(size)
-        comp = np.searchsorted(np.cumsum(self.weights), u)
-        comp = np.minimum(comp, self.n_components - 1)
-        z = generator.standard_normal((size, self.d))
+        return self._from_draws(u, generator.standard_normal((size, self.d)))
+
+    def _from_draws(self, u, z) -> np.ndarray:
+        """Samples whose components the uniforms u pick; normal rows z shape them."""
+        comp = np.minimum(np.searchsorted(np.cumsum(self.weights), u),
+                          self.n_components - 1)
         return self.means[comp] + z @ self._chol.T
 
     def cdf_1d(self, x):

@@ -7,9 +7,11 @@ import pytest
 from ddpmlab.bounds import (banded_schedule_terms, girsanov_bound, moment_report,
                             schrodinger_bound, tv_bound_terms,
                             write_bound_reports)
+from ddpmlab.metrics import fd_bin_edges
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import ScoreModel, reverse_sde
-from ddpmlab.target import gaussian_target, growth_constants, symmetric_mixture
+from ddpmlab.target import (MixtureTarget, gaussian_target, growth_constants,
+                            symmetric_mixture)
 
 MIX = symmetric_mixture()
 
@@ -151,6 +153,23 @@ def test_girsanov_all_paths_excluded_raises():
                            match="all 300 paths were excluded.*0 on the "
                                  "exact-score path, 300 on the frozen-score"):
             girsanov_bound(MIX, sched, model, 300, 2, seed=3)
+
+
+D3 = MixtureTarget([0.5, 0.5], [[-1.0, 0.0, 0.5], [1.0, 0.0, -0.5]], np.eye(3))
+D3_SCHED = constant_rate(20, 4.0)
+D1_ONLY = {
+    "girsanov_bound": lambda: girsanov_bound(
+        D3, D3_SCHED, ScoreModel(D3, D3_SCHED), 10, 1, seed=1),
+    "schrodinger_bound": lambda: schrodinger_bound(
+        D3, D3_SCHED, reverse_sde(D3, D3_SCHED, 1, 10, seed=1)),
+    "fd_bin_edges": lambda: fd_bin_edges(D3, 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(D1_ONLY))
+def test_d1_only_functions_name_themselves_and_d(name):
+    with pytest.raises(ValueError, match=rf"^{name}: .* d == 1, got d = 3$"):
+        D1_ONLY[name]()
 
 
 def test_girsanov_kappa_energy_matches_public_replay():

@@ -254,6 +254,21 @@ def test_divergence_guard_reports_paths():
     assert np.all(np.isfinite(batch.states))
 
 
+def test_nan_states_count_as_diverged():
+    # a NaN norm never compares greater than the limit; it must still freeze
+    from ddpmlab.bounds import girsanov_bound
+
+    model = ScoreModel(MIX, SCHED, mode="perturbed", bias=math.nan)
+    for batch in (ddpm_sample(model, SCHED, 40, seed=13),
+                  reverse_sde(model, SCHED, 1, 40, seed=13, score_mode="model"),
+                  reverse_sde(model, SCHED, 3, 40, seed=13, score_mode="model")):
+        assert batch.diverged.all()
+        assert np.all(np.isfinite(batch.states))
+    with pytest.raises(ValueError, match="all 40 paths were excluded.*0 on the "
+                                         "exact-score path, 40 on the frozen"):
+        girsanov_bound(MIX, SCHED, model, 40, 2, seed=13)
+
+
 def test_score_model_modes_and_clip():
     envelope = growth_constants(MIX)
     exact = ScoreModel(MIX, SCHED, mode="exact")

@@ -1,9 +1,12 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.target import (MixtureTarget, default_axis,
@@ -73,6 +76,100 @@ def test_posterior_weights_sum_to_one(x, y):
     w = t2.posterior_weights(np.array([x, y]))
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
+
+
+KERNEL = ("posterior_weights", "score", "hessian_log", "score_laplacian",
+          "third_log_derivative", "logpdf")
+# agreement bound in units of the reference kernel's rounding scale (below)
+KERNEL_RTOL = 1e-13
+
+
+def _reference_kernel(law, x):
+    """Reference kernel: component log densities by an (N, K, d) einsum and
+    scipy logsumexp, derivatives from the uncentred rows m_k = P(mu_k - x).
+    Also returns the magnitudes it rounds: the largest unshifted component
+    logit (L) and the largest |m_k| (M), each floored at 1."""
+    diff = x[..., None, :] - law.means
+    sol = np.einsum("ij,...kj->...ki", law.precision, diff)
+    log_norm = (0.5 * np.linalg.slogdet(law.precision)[1]
+                - 0.5 * law.d * math.log(2.0 * math.pi))
+    comp = (log_norm - 0.5 * np.einsum("...ki,...ki->...k", diff, sol)
+            + np.log(law.weights))
+    logpdf = logsumexp(comp, axis=-1)
+    pi = np.exp(comp - logpdf[..., None])
+    mk = -sol
+    gbar = np.einsum("...k,...ki->...i", pi, mk)
+    second = np.einsum("...k,...ki,...kj->...ij", pi, mk, mk)
+    cen = mk - gbar[..., None, :]
+    values = {
+        "posterior_weights": pi,
+        "score": gbar,
+        "hessian_log": -law.precision + second - gbar[..., :, None] * gbar[..., None, :],
+        "score_laplacian": np.einsum("...k,...ki,...ka,...ka->...i", pi, cen, cen, cen),
+        "third_log_derivative": np.einsum("...k,...ka,...kb,...kc->...abc",
+                                          pi, cen, cen, cen),
+        "logpdf": logpdf,
+    }
+    big_l = np.maximum(1.0, np.abs(comp).max(axis=-1))
+    big_m = np.maximum(1.0, np.sqrt(np.sum(mk * mk, axis=-1)).max(axis=-1))
+    return values, big_l, big_m
+
+
+def _kernel_gaps(law, x):
+    """Largest |closed form - reference| per method, divided by the
+    reference's rounding scale L * M^p, p the number of m_k factors."""
+    ref, big_l, big_m = _reference_kernel(law, x)
+    powers = {"posterior_weights": 0, "score": 1, "hessian_log": 2,
+              "score_laplacian": 3, "third_log_derivative": 3, "logpdf": 0}
+    gaps = {}
+    for name in KERNEL:
+        err = np.abs(getattr(law, name)(x) - ref[name])
+        err = err.reshape(x.shape[0], -1).max(axis=1)
+        gaps[name] = float(np.max(err / (big_l * big_m ** powers[name])))
+    return gaps
+
+
+def _random_target(rng, d, k, jitter):
+    a = rng.normal(size=(d, d))
+    return MixtureTarget(rng.uniform(0.05, 1.0, k), rng.uniform(-3.0, 3.0, (k, d)),
+                         a @ a.T + jitter * np.eye(d))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 6), st.floats(0.1, 3.0),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_closed_form_kernel_matches_reference(d, k, jitter, t, seed):
+    rng = np.random.default_rng(seed)
+    law = _random_target(rng, d, k, jitter).marginal_at(SCHED, t)
+    x = rng.normal(scale=4.0, size=(64, d))
+    for name, gap in _kernel_gaps(law, x).items():
+        assert gap <= KERNEL_RTOL, name
+
+
+def test_closed_form_kernel_on_bench_fixture():
+    fixture = load_target(Path(__file__).parents[1] / "bench" / "pathwise_3d_target.txt")
+    x = np.random.default_rng(5).normal(scale=3.0, size=(500, 3))
+    for t in (0.0, 0.5, 1.0):
+        for name, gap in _kernel_gaps(fixture.marginal_at(SCHED, t), x).items():
+            assert gap <= KERNEL_RTOL, name
+
+
+@pytest.mark.parametrize("d, k", [(1, 2), (3, 6)])
+def test_posterior_weights_far_tail(d, k):
+    # at |x| = 1e6 the logits are ~1e6 apart: exp without the max shift
+    # overflows, the shifted softmax must not
+    rng = np.random.default_rng(d)
+    target = _random_target(rng, d, k, 1.0)
+    dirs = rng.normal(size=(40, d))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1, keepdims=True))
+    x = dirs * np.geomspace(1e2, 1e6, 40)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pi = target.posterior_weights(x)
+        others = [getattr(target, name)(x) for name in KERNEL[1:]]
+    assert np.all(np.isfinite(pi)) and np.all(pi >= 0.0)
+    assert np.allclose(pi.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    assert all(np.all(np.isfinite(v)) for v in others)
 
 
 def test_density_normalization_1d_and_2d():
