@@ -4,7 +4,10 @@ Noise contract: every path owns an independent Philox substream keyed by
 (seed, path index) and consumes its draws in time order (one optional
 uniform for the data draw, then standard normals step by step).  Results
 are therefore bit-identical for a given (seed, paths, substeps) regardless
-of how paths are chunked or scheduled.
+of how paths are chunked or scheduled.  Philox is counter-based, so a
+stream is fixed by its key and counter alone: each chunk builds one
+generator and re-keys it per path (`_draw_block`), which reproduces a
+freshly built per-path generator exactly.
 """
 
 from __future__ import annotations
@@ -49,14 +52,19 @@ def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
 
 def _draw_block(seed, start, count, steps, d, with_uniform=False):
     """Per-path draws for paths [start, start+count): normals (count, steps, d)
-    and optionally one leading uniform per path."""
+    and optionally one leading uniform per path.  One generator per chunk:
+    assigning its fresh state keyed (seed, start + j) resets the counter and
+    buffer, so path j draws exactly what path_generator(seed, start + j) would."""
     normals = np.empty((count, steps, d))
     uniforms = np.empty(count) if with_uniform else None
+    gen = path_generator(seed, start)
+    state = gen.bit_generator.state
     for j in range(count):
-        gen = path_generator(seed, start + j)
+        state["state"]["key"][1] = start + j
+        gen.bit_generator.state = state
         if with_uniform:
             uniforms[j] = gen.random()
-        normals[j] = gen.standard_normal((steps, d))
+        gen.standard_normal(out=normals[j])
     return uniforms, normals
 
 

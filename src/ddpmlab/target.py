@@ -87,7 +87,7 @@ class GaussianMixtureDensity:
                           - np.log(np.diag(self._chol)).sum())
         self._p_mu = self.means @ self.precision
         self._logit_offset = (np.log(self.weights)
-                              - 0.5 * np.sum(self.means * self._p_mu, axis=1))
+                              - 0.5 * np.sum(self.means * self._p_mu, axis=1))[:, None]
 
     @property
     def d(self) -> int:
@@ -98,26 +98,29 @@ class GaussianMixtureDensity:
         return self.means.shape[0]
 
     def _logits(self, x):
-        """Logits l_k(x) less their maximum over k, and that maximum."""
-        logits = np.asarray(x, dtype=float) @ self._p_mu.T + self._logit_offset
-        top = logits.max(axis=-1, keepdims=True)
+        """Logits l_k(x) less their maximum over k, K-major: shape (K, N) for
+        the N points of the array x, so reductions over k run along axis 0."""
+        logits = self._p_mu @ x.reshape(-1, x.shape[-1]).T + self._logit_offset
+        top = logits.max(axis=0)
         logits -= top
         return logits, top
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         logits, top = self._logits(x)
+        lead = x.shape[:-1]
         return (self._log_norm - 0.5 * np.sum(x * (x @ self.precision), axis=-1)
-                + top[..., 0] + np.log(np.exp(logits).sum(axis=-1)))
+                + top.reshape(lead) + np.log(np.exp(logits).sum(axis=0)).reshape(lead))
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
     def posterior_weights(self, x):
-        """pi_k(x), summing to 1 at every x; shape (..., K)."""
+        """pi_k(x), summing to 1 at every x; C-contiguous, shape (..., K)."""
+        x = np.asarray(x, dtype=float)
         pi = np.exp(self._logits(x)[0])
-        pi /= pi.sum(axis=-1, keepdims=True)
-        return pi
+        pi /= pi.sum(axis=0)
+        return np.ascontiguousarray(pi.T).reshape(x.shape[:-1] + (self.n_components,))
 
     def score(self, x):
         """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d)."""

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import (ScoreModel, ddpm_sample, forward_chain, growth_clip,
-                              path_generator, reverse_sde,
+from ddpmlab.simulate import (ScoreModel, _draw_block, ddpm_sample, forward_chain,
+                              growth_clip, path_generator, reverse_sde,
                               reverse_transition_density, save_trajectories)
 from ddpmlab.target import gaussian_target, growth_constants, symmetric_mixture
 
@@ -134,6 +134,28 @@ def test_bit_determinism_and_chunk_invariance():
     g1 = path_generator(11, 5).standard_normal(8)
     g2 = path_generator(11, 5).standard_normal(8)
     np.testing.assert_array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("with_uniform", [True, False])
+@pytest.mark.parametrize("d", [1, 3])
+def test_draw_block_matches_fresh_path_generators(with_uniform, d):
+    # the chunk's one re-keyed generator must draw, path by path, exactly
+    # what a freshly built path_generator(seed, start + j) draws
+    steps = 5
+    for start in (0, 5, 2**33):
+        for count in (1, 7):
+            u, z = _draw_block(11, start, count, steps, d, with_uniform)
+            want_u, want_z = [], []
+            for j in range(count):
+                gen = path_generator(11, start + j)
+                if with_uniform:
+                    want_u.append(gen.random())
+                want_z.append(gen.standard_normal((steps, d)))
+            np.testing.assert_array_equal(z, np.stack(want_z))
+            if with_uniform:
+                np.testing.assert_array_equal(u, np.array(want_u))
+            else:
+                assert u is None
 
 
 PERT = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)

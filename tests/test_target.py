@@ -136,7 +136,7 @@ def _random_target(rng, d, k, jitter):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 4), st.integers(1, 6), st.floats(0.1, 3.0),
+@given(st.integers(1, 4), st.integers(1, 10), st.floats(0.1, 3.0),
        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_closed_form_kernel_matches_reference(d, k, jitter, t, seed):
     rng = np.random.default_rng(seed)
@@ -152,6 +152,20 @@ def test_closed_form_kernel_on_bench_fixture():
     for t in (0.0, 0.5, 1.0):
         for name, gap in _kernel_gaps(fixture.marginal_at(SCHED, t), x).items():
             assert gap <= KERNEL_RTOL, name
+
+
+@pytest.mark.parametrize("lead", [(), (0,), (5,), (2, 3)])
+@pytest.mark.parametrize("d, k", [(1, 2), (3, 6), (2, 9)])
+def test_posterior_weights_layout(d, k, lead):
+    # (..., K) and C-contiguous, whatever the leading shape: the score's
+    # pi @ P mu product must see the same memory layout at any batch size
+    target = _random_target(np.random.default_rng(k), d, k, 1.0)
+    x = np.random.default_rng(1).normal(size=lead + (d,))
+    pi = target.posterior_weights(x)
+    assert pi.shape == lead + (k,)
+    assert pi.flags.c_contiguous
+    np.testing.assert_array_equal(pi.reshape(-1, k),
+                                  target.posterior_weights(x.reshape(-1, d)))
 
 
 @pytest.mark.parametrize("d, k", [(1, 2), (3, 6)])
