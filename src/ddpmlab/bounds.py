@@ -16,8 +16,8 @@ import numpy as np
 from .metrics import (fd_bin_edges, grid_from_density, kl,
                       tv_hist_two_samples, tv_hist_vs_density)
 from .schedule import NoiseSchedule
-from .simulate import (DIVERGENCE_LIMIT, ScoreModel, TrajectoryBatch,
-                       _check_schedule, _exact_step, _frozen_score, _integrate,
+from .simulate import (ScoreModel, TrajectoryBatch, _check_schedule,
+                       _exact_step, _frozen_score, _integrate, _kept_paths,
                        _reverse_grid, reverse_sde)
 from .target import GrowthConstants, MixtureTarget, default_axis
 
@@ -83,7 +83,8 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
         notes["radicand_negative"] = radicand
         radicand = 0.0
     rhs = math.sqrt(radicand)
-    terminal = reverse_batch.terminal_states[~reverse_batch.diverged]
+    keep = _kept_paths("schrodinger_bound", reverse_batch.diverged)
+    terminal = reverse_batch.terminal_states[keep]
     edges = fd_bin_edges(target, terminal.shape[0])
     lhs, se, budget = tv_hist_vs_density(terminal, target, edges)
     verdict = "holds" if lhs <= rhs + 3.0 * se + budget else "violated"
@@ -128,13 +129,10 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
                        "terminal", chunk, "reverse")
     hat = reverse_sde(score_model, schedule, 1, paths, seed,
                       score_mode="model", record="terminal", chunk=chunk)
-    keep = ~exact.diverged & ~hat.diverged
-    if not keep.any():
-        raise ValueError(
-            f"girsanov_bound: all {paths} paths were excluded for leaving the "
-            f"{DIVERGENCE_LIMIT:g} norm limit ({int(exact.diverged.sum())} on "
-            f"the exact-score path, {int(hat.diverged.sum())} on the "
-            f"frozen-score path)")
+    keep = _kept_paths(
+        "girsanov_bound", exact.diverged | hat.diverged,
+        f" ({int(exact.diverged.sum())} on the exact-score path, "
+        f"{int(hat.diverged.sum())} on the frozen-score path)")
     excluded = int(paths - keep.sum())
     mean_k = float(acc[keep].mean())
     se_k = float(acc[keep].std() / math.sqrt(keep.sum()))
@@ -205,7 +203,7 @@ def moment_report(schedule: NoiseSchedule, reverse_batch: TrajectoryBatch,
                   envelope: GrowthConstants) -> dict:
     """Empirical second/fourth moments of X* along the grid, with the
     bound's shape factor (report-only; constant generic)."""
-    keep = ~reverse_batch.diverged
+    keep = _kept_paths("moment_report", reverse_batch.diverged)
     states = reverse_batch.states[keep]
     sq = np.sum(states**2, axis=-1)
     second = sq.mean(axis=0)

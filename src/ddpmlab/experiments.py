@@ -19,9 +19,9 @@ from . import fbsde as fbsde_mod
 from . import metrics as metrics_mod
 from .schedule import (NoiseSchedule, band_check, constant_rate,
                        from_linear_variance, load_schedule)
-from .simulate import ScoreModel, ddpm_sample, reverse_sde
-from .target import (MixtureTarget, gaussian_target, load_target,
-                     symmetric_mixture)
+from .simulate import ScoreModel, _kept_paths, ddpm_sample, reverse_sde
+from .target import (MixtureTarget, default_axis, gaussian_target,
+                     load_target, symmetric_mixture)
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "plotdata"]
 
@@ -264,8 +264,6 @@ def _run_fbsde(cfg, out_dir, summary):
 def _run_pde(cfg, out_dir, summary):
     target, schedule, *_ = _common(cfg)
     t = float(cfg.get("t", 0.3))
-    from .target import default_axis
-
     pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
     rows = []
     results = {}
@@ -314,8 +312,6 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     summary.check("bsde_residual_shrinks", all(f < 1.0 for f in factors),
                   "adjudicated-sign rms decreases under refinement")
     t = float(cfg.get("t", 0.3))
-    from .target import default_axis
-
     pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
     pde_rows = []
     pde = {}
@@ -346,7 +342,7 @@ def _run_tv_pipeline(cfg, out_dir, summary):
     for b in biases:
         model = ScoreModel(target, schedule, mode="perturbed", bias=b)
         batch = ddpm_sample(model, schedule, paths, seed, record="terminal")
-        keep = ~batch.diverged
+        keep = _kept_paths(f"tv-pipeline ddpm_sample at bias {b:g}", batch.diverged)
         value, se, budget = metrics_mod.tv_hist_vs_density(
             batch.terminal_states[keep], target, edges)
         tvs.append((value, se))
@@ -394,7 +390,7 @@ def _run_bounds_sweep(cfg, out_dir, summary):
         schedule = constant_rate(n, total)
         model = ScoreModel(target, schedule, mode="exact")
         batch = ddpm_sample(model, schedule, paths, seed, record="terminal")
-        keep = ~batch.diverged
+        keep = _kept_paths(f"bounds-sweep ddpm_sample at n = {n}", batch.diverged)
         value, se, _ = metrics_mod.tv_hist_vs_density(
             batch.terminal_states[keep], target, edges)
         terms = bounds_mod.tv_bound_terms(schedule, target.d, 0.0, envelope)

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import (TrajectoryBatch, _integrate, _reverse_grid,
-                       _reverse_marginals)
+from .simulate import TrajectoryBatch, _integrate, _kept_paths, _reverse_grid
 from .target import MixtureTarget, default_axis
 
 __all__ = [
@@ -66,16 +66,12 @@ def g_weight(schedule: NoiseSchedule, r) -> np.ndarray:
     return schedule.beta(1.0 - r) * np.exp(0.5 * schedule.integrated_beta(1.0 - r))
 
 
-def _batch_substeps(schedule: NoiseSchedule, batch: TrajectoryBatch) -> int:
+def _step_betas(schedule: NoiseSchedule, batch: TrajectoryBatch) -> np.ndarray:
+    """Constant beta over each reverse substep of the batch grid."""
     nsteps = batch.times.size - 1
     if nsteps % schedule.n != 0:
         raise ValueError("batch grid does not refine the schedule intervals")
-    return nsteps // schedule.n
-
-
-def _step_betas(schedule: NoiseSchedule, batch: TrajectoryBatch) -> np.ndarray:
-    """Constant beta over each reverse substep of the batch grid."""
-    return _reverse_grid(schedule, _batch_substeps(schedule, batch))[2]
+    return _reverse_grid(schedule, nsteps // schedule.n)[2]
 
 
 def _along(target, schedule, batch, start, terminal=False):
@@ -84,9 +80,10 @@ def _along(target, schedule, batch, start, terminal=False):
     point follows under the last substep's beta."""
     times = batch.times
     betas = _step_betas(schedule, batch)
-    for k in range(start, times.size if terminal else times.size - 1):
-        yield (betas[min(k, betas.size - 1)],
-               target.marginal_at(schedule, 1.0 - times[k]), batch.states[:, k])
+    stop = times.size if terminal else times.size - 1
+    laws = target.marginal_at(schedule, 1.0 - times[start:stop])
+    for k, law in enumerate(laws, start):
+        yield betas[min(k, betas.size - 1)], law, batch.states[:, k]
 
 
 def _check_batch(batch: TrajectoryBatch):
@@ -130,19 +127,6 @@ def bsde_processes(target: MixtureTarget, schedule: NoiseSchedule,
                          g_values=g_weight(schedule, batch.times[:-1]))
 
 
-def _stats_from_residual(res, batch, t_index, drift_sign, schedule):
-    norms = np.sqrt(np.sum(res**2, axis=-1))
-    keep = ~batch.diverged
-    return ResidualStats(
-        rms=float(np.sqrt(np.mean(norms[keep] ** 2))),
-        max=float(norms[keep].max()),
-        paths=int(keep.sum()),
-        substeps=(batch.times.size - 1) // schedule.n,
-        t_index=t_index,
-        drift_sign=drift_sign,
-    )
-
-
 def bsde_residual(target: MixtureTarget, schedule: NoiseSchedule,
                   batch: TrajectoryBatch, t_index: int,
                   drift_sign: int) -> ResidualStats:
@@ -160,6 +144,7 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     times = batch.times
     if not 0 <= t_index <= times.size - 1:
         raise ValueError("t_index outside the simulation grid")
+    keep = _kept_paths("bsde_residual_both", batch.diverged)
     h = times[1] - times[0]
     drift = np.zeros((batch.paths, batch.d))
     ito = np.zeros((batch.paths, batch.d))
@@ -176,7 +161,11 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     out = {}
     for sign in (-1, 1):
         res = terminal - y_t - sign * 0.5 * drift - ito
-        out[sign] = _stats_from_residual(res, batch, t_index, sign, schedule)
+        norms = np.sqrt(np.sum(res**2, axis=-1))[keep]
+        out[sign] = ResidualStats(
+            rms=float(np.sqrt(np.mean(norms**2))), max=float(norms.max()),
+            paths=int(keep.sum()), substeps=(times.size - 1) // schedule.n,
+            t_index=t_index, drift_sign=sign)
     return out
 
 
@@ -184,11 +173,12 @@ def z_energy(target: MixtureTarget, schedule: NoiseSchedule,
              batch: TrajectoryBatch) -> float:
     """Monte Carlo E* int_0^1 |Z_t|_F^2 dt; equals d * int_0^1 beta for Gaussians."""
     _check_batch(batch)
+    keep = _kept_paths("z_energy", batch.diverged)
     h = batch.times[1] - batch.times[0]
     acc = np.zeros(batch.paths)
     for beta, law, x in _along(target, schedule, batch, 0):
         acc += beta * np.sum(law.hessian_log(x) ** 2, axis=(-2, -1)) * h
-    return float(acc[~batch.diverged].mean())
+    return float(acc[keep].mean())
 
 
 @dataclass
@@ -200,16 +190,6 @@ class YastReport:
     tower_se: float
     paths: int
     t_index: int
-
-
-def _realized_integral(target, schedule, batch, t_index):
-    """Left-point sum of g(r) Y_r over [t, 1] per path."""
-    h = batch.times[1] - batch.times[0]
-    integral = np.zeros((batch.paths, batch.d))
-    for beta, law, x in _along(target, schedule, batch, t_index):
-        g = beta * math.exp(0.5 * schedule.integrated_beta(law.t))
-        integral += g * law.score(x) * h
-    return integral
 
 
 def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
@@ -231,11 +211,16 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     if not 0 <= t_index < times.size - 1:
         raise ValueError("t_index must leave a nonempty interval [t, 1]")
     t = float(times[t_index])
-    keep = ~batch.diverged
+    keep = _kept_paths("yast_check", batch.diverged)
     x_t = batch.states[keep, t_index]
     y_t = target.marginal_at(schedule, 1.0 - t).score(x_t)
     f_t = float(f_weight(schedule, t))
-    integral = _realized_integral(target, schedule, batch, t_index)[keep]
+    h = times[1] - times[0]
+    integral = np.zeros((batch.paths, batch.d))  # left-point sum of g(r) Y_r
+    for beta, law, x in _along(target, schedule, batch, t_index):
+        g = beta * math.exp(0.5 * schedule.integrated_beta(law.t))
+        integral += g * law.score(x) * h
+    integral = integral[keep]
 
     tower = f_t * integral - y_t
     tower_gap = float(np.abs(tower.mean(axis=0)).max())
@@ -249,7 +234,6 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
             raise ValueError("gaussian-oracle mode needs a unit-covariance Gaussian")
         mu0 = target.means[0]
         g_t = float(schedule.integrated_beta(1.0 - t))
-        h = times[1] - times[0]
         betas = _step_betas(schedule, batch)
         quad = 0.0
         for k in range(t_index, times.size - 1):
@@ -278,8 +262,6 @@ def _poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
         for p in range(1, degree + 1):
             cols.append(x[:, 0] ** p)
     else:
-        from itertools import combinations_with_replacement
-
         for p in range(1, degree + 1):
             for combo in combinations_with_replacement(range(x.shape[1]), p):
                 term = np.ones(x.shape[0])
@@ -310,13 +292,11 @@ def pde_residual(target: MixtureTarget, schedule: NoiseSchedule, t: float,
     if pts.ndim == 1:
         pts = pts[:, None]
     beta = float(schedule.beta(1.0 - t))
-    law = target.marginal_at(schedule, 1.0 - t)
+    law, plus, minus = target.marginal_at(schedule, 1.0 - np.array([t, t + dt, t - dt]))
     u = law.score(pts)
     hess = law.hessian_log(pts)
     lap_u = law.score_laplacian(pts)
-    u_plus = target.marginal_at(schedule, 1.0 - (t + dt)).score(pts)
-    u_minus = target.marginal_at(schedule, 1.0 - (t - dt)).score(pts)
-    du_dt = (u_plus - u_minus) / (2.0 * dt)
+    du_dt = (plus.score(pts) - minus.score(pts)) / (2.0 * dt)
     velocity = 0.5 * beta * pts + beta * u
     convection = np.einsum("...kj,...j->...k", hess, velocity)
     res = du_dt + convection + 0.5 * beta * lap_u - rhs_sign * 0.5 * beta * u
@@ -340,7 +320,7 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
         raise ValueError("checkpoints must lie in [0, 1]")
     d = target.d
     g_total = float(schedule.integrated_beta(1.0))
-    laws = _reverse_marginals(target, schedule, times)
+    laws = target.marginal_at(schedule, 1.0 - times)
     prefs = [math.exp(0.5 * d * (g_total - float(schedule.integrated_beta(1.0 - t))))
              for t in times]
     ms = [schedule.bridge(1.0 - b, 1.0 - a).m for a, b in zip(times[:-1], times[1:])]
@@ -361,13 +341,12 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
         pts = axis[:, None]
         w = axis[1] - axis[0]
         phi = np.exp(-0.5 * axis**2) / math.sqrt(2.0 * math.pi)
-        reference = float(np.sum(phi * laws[0].pdf(pts)) * w)
     else:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         w = (axis[1] - axis[0]) ** 2
         phi = np.exp(-0.5 * np.sum(pts**2, axis=1)) / (2.0 * math.pi)
-        reference = float(np.sum(phi * laws[0].pdf(pts)) * w)
+    reference = float(np.sum(phi * laws[0].pdf(pts)) * w)
     drift_z = np.abs(means - means[0]) / np.maximum(ses, 1e-300)
     return {
         "times": times,

@@ -210,12 +210,11 @@ def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
     per = np.empty(n)
     per_se = np.empty(n)
     pooled = np.zeros(samples)
-    for i in range(1, n + 1):
+    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
         m = math.sqrt(abars[i - 1])
         sig = math.sqrt(1.0 - abars[i - 1])
         x_i = m * x0 + sig * z
-        truth = target.marginal_at(schedule, schedule.times[i]).score(x_i)
-        diff = score_model.s_step(i, x_i) - truth
+        diff = score_model.s_step(i, x_i) - law.score(x_i)
         vals = np.sum(diff * diff, axis=-1)
         per[i - 1] = vals.mean()
         per_se[i - 1] = vals.std() / math.sqrt(samples)
@@ -277,10 +276,9 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
                + np.sum(c * c, axis=-1) - np.sum(g * g, axis=-1))
         return lhs, lhs - rhs
 
-    for i in range(1, n + 1):
+    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
         m = math.sqrt(abars[i - 1])
         sig = math.sqrt(1.0 - abars[i - 1])
-        law = target.marginal_at(schedule, schedule.times[i])
         lhs_p, gap_p = one_side(i, m, sig, law, x0, z)
         if antithetic:
             lhs_m, gap_m = one_side(i, m, sig, law, x0, -z)
@@ -328,16 +326,13 @@ def score_growth_audit(target: MixtureTarget, schedule: NoiseSchedule,
     radius = np.sqrt(np.sum(points**2, axis=-1))
     worst = math.inf
     worst_t = worst_r = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        m = schedule.bridge(0.0, t).m
-        bound = envelope.c0 / m + (envelope.c1 / m**2) * radius
-        norm = np.sqrt(np.sum(target.marginal_at(schedule, t).score(points) ** 2,
-                              axis=-1))
-        margins = bound - norm
+    for law in target.marginal_at(schedule, np.asarray(t_grid, dtype=float)):
+        bound = envelope.c0 / law.m + (envelope.c1 / law.m**2) * radius
+        margins = bound - np.sqrt(np.sum(law.score(points) ** 2, axis=-1))
         j = int(margins.argmin())
         if margins[j] < worst:
             worst = float(margins[j])
-            worst_t, worst_r = float(t), float(radius[j])
+            worst_t, worst_r = law.t, float(radius[j])
     return GrowthAudit(ok=worst >= 0.0, worst_margin=worst,
                        worst_t=worst_t, worst_radius=worst_r)
 

@@ -28,7 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BridgeCoefficients:
-    """Mean-decay m and noise scale s of the OU kernel between two times.
+    """Mean-decay m and noise scale s of the OU kernel between two times
+    (floats, or arrays for an array of end times).
 
     Always satisfies m**2 + s**2 == 1 up to roundoff.
     """
@@ -138,11 +139,17 @@ class NoiseSchedule:
         return np.interp(t, self._times, self._g_knots)
 
     def bridge(self, t, r) -> BridgeCoefficients:
-        """Kernel coefficients over [t, r]: m = exp(-(g(r)-g(t))/2), s = sqrt(1-m^2)."""
-        if t > r:
+        """Kernel coefficients over [t, r]: m = exp(-(g(r)-g(t))/2), s = sqrt(1-m^2).
+
+        m and s are floats for a scalar r and arrays of r's shape otherwise.
+        """
+        r = np.asarray(r, dtype=float)
+        if np.any(t > r):
             raise ValueError("bridge requires t <= r")
-        m = float(np.exp(-0.5 * (self.integrated_beta(r) - self.integrated_beta(t))))
-        s = math.sqrt(max(0.0, 1.0 - m * m))
+        m = np.exp(-0.5 * (self.integrated_beta(r) - self.integrated_beta(t)))
+        s = np.sqrt(np.maximum(0.0, 1.0 - m * m))
+        if r.ndim == 0:
+            m, s = float(m), float(s)
         return BridgeCoefficients(m=m, s=s)
 
     def __eq__(self, other):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .target import GaussianMixtureDensity, GrowthConstants, MarginalLaw, MixtureTarget
+from .target import GaussianMixtureDensity, GrowthConstants, MixtureTarget
 
 __all__ = [
     "TrajectoryBatch",
@@ -42,6 +43,17 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
         raise ValueError("seed must be nonnegative")
     key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _kept_paths(name: str, diverged, detail: str = "") -> np.ndarray:
+    """Mask of the paths within DIVERGENCE_LIMIT; raises a ValueError naming
+    `name` when there is none, so no empty selection reaches a statistic."""
+    keep = ~np.asarray(diverged)
+    if not keep.any():
+        raise ValueError(
+            f"{name}: all {keep.size} paths were excluded for leaving the "
+            f"{DIVERGENCE_LIMIT:g} norm limit{detail}")
+    return keep
 
 
 def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
@@ -98,10 +110,6 @@ class TrajectoryBatch:
     def terminal_states(self) -> np.ndarray:
         return self.states[:, -1, :]
 
-    def retained(self) -> np.ndarray:
-        """States of the non-diverged paths."""
-        return self.states[~self.diverged]
-
     def noise_sanity(self):
         """Empirical per-step noise mean and variance deviation (diagnostic)."""
         if self.noises is None:
@@ -119,7 +127,7 @@ class ScoreModel:
 
     s_i(x) = -z_i(x)/sqrt(1-abar_i) targets grad log p_i; the interpolated
     s(t, x) = -(1+sqrt(alpha_i))/(2 sqrt(1-abar_i)) z_i(x) for t in
-    (t_{i-1}, t_i] drives the piecewise-frozen reverse dynamics; s(0,.) = 0.
+    (t_{i-1}, t_i] (s_frozen) drives the piecewise-frozen reverse dynamics.
 
     Modes:
       exact      s_i is the true marginal score.
@@ -139,14 +147,11 @@ class ScoreModel:
         self.bias = None if bias is None else np.atleast_1d(np.asarray(bias, float))
         self.noise_amplitude = float(noise_amplitude)
         self._clip = _clip  # (inner_model, growth_constants, variant)
-        self._marginals: dict[int, MarginalLaw] = {}
 
-    def _marginal(self, i: int) -> MarginalLaw:
-        law = self._marginals.get(i)
-        if law is None:
-            law = self.target.marginal_at(self.schedule, self.schedule.times[i])
-            self._marginals[i] = law
-        return law
+    @cached_property
+    def _laws(self) -> tuple:
+        """Marginal laws p_i at t_1..t_n, from one stacked build on first use."""
+        return self.target.marginal_at(self.schedule, self.schedule.times[1:])
 
     def growth_bound(self, i: int, x) -> np.ndarray:
         """Growth envelope B_i(x) = c0/sqrt(abar_i) + (c1/abar_i)|x|."""
@@ -172,11 +177,11 @@ class ScoreModel:
                 return s
             s = s.copy()
             if variant == "oracle":
-                s[over] = self._marginal(i).score(x[over])
+                s[over] = self._laws[i - 1].score(x[over])
             else:
                 s[over] *= (bound[over] / norm[over])[..., None]
             return s
-        s = self._marginal(i).score(x)
+        s = self._laws[i - 1].score(x)
         if self.mode == "perturbed":
             if self.bias is not None:
                 s = s + self.bias
@@ -197,13 +202,6 @@ class ScoreModel:
         """
         alpha = self.schedule.alphas[i - 1]
         return 0.5 * (1.0 + math.sqrt(alpha)) * self.s_step(i, x)
-
-    def s_interp(self, t: float, x) -> np.ndarray:
-        """Piecewise score s(t, x); t = 0 returns zero."""
-        x = np.asarray(x, dtype=float)
-        if t == 0.0:
-            return np.zeros_like(x)
-        return self.s_frozen(int(self.schedule.interval_index(t)), x)
 
 
 def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
@@ -302,16 +300,11 @@ def _reverse_grid(schedule: NoiseSchedule, substeps: int):
     return grid, interval, -schedule.n * schedule.log_alphas[interval - 1]
 
 
-def _reverse_marginals(target, schedule, times):
-    """Marginal laws p_{1-r} for every reverse time r."""
-    return [target.marginal_at(schedule, 1.0 - r) for r in times]
-
-
 def _exact_step(target, schedule, grid, betas, observe=None):
     """Euler-Maruyama step of the reverse SDE with the true marginal score;
     observe(k, x, score, rows), when given, sees the score each step uses."""
     h = 1.0 / betas.size
-    marginals = _reverse_marginals(target, schedule, grid[:-1])
+    marginals = target.marginal_at(schedule, 1.0 - grid[:-1])
 
     def step(k, x, z, rows):
         beta = betas[k]
@@ -433,8 +426,8 @@ def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,
     log_pref = 0.5 * d * int_beta
     log_q = (d * math.log(m) - 0.5 * d * math.log(2.0 * math.pi * s2)
              - 0.5 * (m**2 / s2) * np.sum((y - x / m) ** 2, axis=-1))
-    log_ratio = (target.marginal_at(schedule, 1.0 - r).logpdf(y)
-                 - target.marginal_at(schedule, 1.0 - t).logpdf(x))
+    at_r, at_t = target.marginal_at(schedule, 1.0 - np.array([r, t]))
+    log_ratio = at_r.logpdf(y) - at_t.logpdf(x)
     return np.exp(log_pref + log_ratio + log_q)
 
 

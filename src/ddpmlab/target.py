@@ -51,6 +51,29 @@ class GrowthConstants:
     lambda_min: float
 
 
+def _factored(weights, means, covariance) -> dict:
+    """The cached arrays of mixtures with weights (..., K), means (..., K, d)
+    and covariances (..., d, d), stacked along the leading axes: the
+    symmetrized covariance, its Cholesky factor and inverse (the precision
+    P), the log normalizer, P mu_k and the logit offsets."""
+    cov = 0.5 * (covariance + np.swapaxes(covariance, -1, -2))
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
+    prec = np.linalg.inv(cov)
+    prec = 0.5 * (prec + np.swapaxes(prec, -1, -2))
+    for a in (weights, means, cov, prec):
+        a.flags.writeable = False
+    p_mu = means @ prec
+    return dict(weights=weights, means=means, covariance=cov, _chol=chol,
+                precision=prec, _p_mu=p_mu,
+                _log_norm=(-0.5 * means.shape[-1] * math.log(2.0 * math.pi)
+                           - np.log(np.diagonal(chol, 0, -2, -1)).sum(axis=-1)),
+                _logit_offset=(np.log(weights)
+                               - 0.5 * np.sum(means * p_mu, axis=-1))[..., None])
+
+
 class GaussianMixtureDensity:
     """Mixture of Gaussians with one shared covariance matrix.
 
@@ -70,24 +93,7 @@ class GaussianMixtureDensity:
             raise ValueError("covariance shape must match the dimension")
         if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
             raise ValueError("covariance must be symmetric")
-        self.weights = w / w.sum()
-        self.weights.flags.writeable = False
-        self.means = mu.copy()
-        self.means.flags.writeable = False
-        self.covariance = 0.5 * (cov + cov.T)
-        self.covariance.flags.writeable = False
-        try:
-            self._chol = np.linalg.cholesky(self.covariance)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        self.precision = np.linalg.inv(self.covariance)
-        self.precision = 0.5 * (self.precision + self.precision.T)
-        self.precision.flags.writeable = False
-        self._log_norm = (-0.5 * self.d * math.log(2.0 * math.pi)
-                          - np.log(np.diag(self._chol)).sum())
-        self._p_mu = self.means @ self.precision
-        self._logit_offset = (np.log(self.weights)
-                              - 0.5 * np.sum(self.means * self._p_mu, axis=1))[:, None]
+        vars(self).update(_factored(w / w.sum(), mu.copy(), cov))
 
     @property
     def d(self) -> int:
@@ -116,8 +122,14 @@ class GaussianMixtureDensity:
         return np.exp(self.logpdf(x))
 
     def posterior_weights(self, x):
-        """pi_k(x), summing to 1 at every x; C-contiguous, shape (..., K)."""
+        """pi_k(x), summing to 1 at every x; C-contiguous, shape (..., K).
+
+        With one component pi is exactly 1 at every x, NaN and +/-inf
+        included, so hessian_log is then -P everywhere while score still
+        carries a non-finite x through its -P x term."""
         x = np.asarray(x, dtype=float)
+        if self.n_components == 1:
+            return np.ones(x.shape[:-1] + (1,))
         pi = np.exp(self._logits(x)[0])
         pi /= pi.sum(axis=0)
         return np.ascontiguousarray(pi.T).reshape(x.shape[:-1] + (self.n_components,))
@@ -209,9 +221,40 @@ class MixtureTarget(GaussianMixtureDensity):
         self.q.flags.writeable = False
         self._q_eigvals = eigvals
 
-    def marginal_at(self, schedule, t: float) -> "MarginalLaw":
-        """Law of the forward process at time t (exact OU pushforward)."""
-        return MarginalLaw(self, schedule, t)
+    def marginal_at(self, schedule, t):
+        """Law of the forward process at time t (exact OU pushforward).
+
+        A 1-D array of times gives a tuple of laws from one stacked build: one
+        bridge call, one batched Cholesky and one batched inverse, then a view
+        per time.  Every array is bit-identical to the validating constructor
+        GaussianMixtureDensity(w, m mu, m^2 Sigma + s^2 I); a scalar t is the
+        one-element case."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("t must be a scalar or a 1-D array of times")
+        flat = times.reshape(-1)
+        if not np.all((flat >= 0.0) & (flat <= 1.0)):
+            raise ValueError("t must lie in [0, 1]")
+        br = schedule.bridge(0.0, flat)
+        ms, ss = br.m.tolist(), br.s.tolist()
+        # squared as Python floats (libm pow), as a single law's m**2 always
+        # was: numpy squaring (m*m) differs from pow in the last ulp for about
+        # 1 in 1000 values, and the precision with it
+        m2 = np.array([m**2 for m in ms])[:, None, None]
+        s2 = np.array([s**2 for s in ss])[:, None, None]
+        w = self.weights / self.weights.sum()
+        arrays = _factored(np.broadcast_to(w, (flat.size, w.size)),
+                           br.m[:, None, None] * self.means,
+                           m2 * self.covariance + s2 * np.eye(self.d))
+        laws = []
+        for i, ti in enumerate(flat.tolist()):
+            law = object.__new__(MarginalLaw)
+            # setattr keeps the compact shared-key instance dict
+            for k, v in arrays.items():
+                setattr(law, k, v[i])
+            law.t, law.m, law.s, law.target = ti, ms[i], ss[i], self
+            laws.append(law)
+        return tuple(laws) if times.ndim else laws[0]
 
     def growth_constants(self) -> GrowthConstants:
         return growth_constants(self)
@@ -220,18 +263,8 @@ class MixtureTarget(GaussianMixtureDensity):
 class MarginalLaw(GaussianMixtureDensity):
     """Time-t law of the noised target: means shrink by m, covariance
     becomes m^2 Sigma + s^2 I with (m, s) the bridge coefficients over [0, t].
+    Built by MixtureTarget.marginal_at; carries t, m, s and the target.
     """
-
-    def __init__(self, target: MixtureTarget, schedule, t: float):
-        if not (0.0 <= t <= 1.0):
-            raise ValueError("t must lie in [0, 1]")
-        br = schedule.bridge(0.0, t)
-        cov = br.m**2 * target.covariance + br.s**2 * np.eye(target.d)
-        super().__init__(target.weights, br.m * target.means, cov)
-        self.t = float(t)
-        self.m = br.m
-        self.s = br.s
-        self.target = target
 
 
 def gaussian_target(mean, precision=None) -> MixtureTarget:
@@ -296,13 +329,11 @@ def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points,
     if pts.ndim == 1:
         pts = pts[:, None]
     beta = float(schedule.beta(t))
-    law = target.marginal_at(schedule, t)
+    law, plus, minus = target.marginal_at(schedule, np.array([t, t + dt, t - dt]))
     p = law.pdf(pts)
     grad = law.grad_pdf(pts)
     lap = law.laplacian_pdf(pts)
-    p_plus = target.marginal_at(schedule, t + dt).pdf(pts)
-    p_minus = target.marginal_at(schedule, t - dt).pdf(pts)
-    dp_dt = (p_plus - p_minus) / (2.0 * dt)
+    dp_dt = (plus.pdf(pts) - minus.pdf(pts)) / (2.0 * dt)
     divergence = target.d * p + np.einsum("...i,...i->...", pts, grad)
     res = dp_dt - 0.5 * beta * divergence - 0.5 * beta * lap
     return float(np.abs(res).max()), float(np.sqrt(np.mean(res**2))), float(p.max())

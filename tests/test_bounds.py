@@ -227,3 +227,18 @@ def test_bound_verdicts_stable_under_more_paths():
     small = girsanov_bound(MIX, sched, model, 4000, 2, seed=11)
     big = girsanov_bound(MIX, sched, model, 16000, 2, seed=11)
     assert small.verdict == big.verdict == "holds"
+
+
+def test_all_diverged_batch_raises_in_schrodinger_and_moment_report():
+    sched = constant_rate(20, 690.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = reverse_sde(MIX, sched, 2, 200, seed=5, record="full")
+    assert batch.diverged.all()
+    limit = r"all 200 paths were excluded for leaving the 1e\+06 norm limit$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^schrodinger_bound: {limit}"):
+            schrodinger_bound(MIX, sched, batch)
+        with pytest.raises(ValueError, match=rf"^moment_report: {limit}"):
+            moment_report(sched, batch, growth_constants(MIX))

@@ -1,9 +1,10 @@
 import os
+import warnings
 
 import pytest
 
 from ddpmlab.cli import main
-from ddpmlab.experiments import ConfigError, parse_config
+from ddpmlab.experiments import ConfigError, parse_config, run
 
 
 def write(tmp_path, name, text):
@@ -253,3 +254,20 @@ seed = 3
                  "--out", dat]) == 0
     body = open(dat).read()
     assert "# sign -1" in body and "# sign 1" in body
+
+
+@pytest.mark.parametrize("text, name", [
+    # a bias of 1e7 moves every path past 1e6 in the first DDPM step
+    ("experiment = tv-pipeline\nschedule.kind = constant\nschedule.n = 20\n"
+     "schedule.total = 4\npaths = 50\nsamples = 50\nbiases = 1e7\n",
+     r"tv-pipeline ddpm_sample at bias 1e\+07"),
+    # sigma_n ~ 1e15 at alpha_bar_n ~ 2e-300 does the same with the exact score
+    ("experiment = bounds-sweep\nschedule.total = 690\nn_list = 10\npaths = 50\n",
+     "bounds-sweep ddpm_sample at n = 10"),
+])
+def test_experiments_refuse_an_all_diverged_batch(tmp_path, text, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow inside the diverging paths
+        with pytest.raises(ValueError, match=rf"^{name}: all 50 paths were excluded "
+                                             r"for leaving the 1e\+06 norm limit$"):
+            run(parse_config(text), str(tmp_path))

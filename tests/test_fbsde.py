@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -158,3 +160,61 @@ def test_h_martingale_constancy():
 def test_g_weight_positive():
     r = np.linspace(0.0, 0.99, 50)
     assert np.all(g_weight(SCHED, r) > 0.0)
+
+
+EXTREME = constant_rate(20, 690.0)
+
+
+@lru_cache(maxsize=None)
+def all_diverged_batch():
+    """Exact reverse batch at alpha_bar_n ~ 2e-300: Euler at beta h ~ 17 sends
+    every one of the 200 paths past the 1e6 norm limit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = reverse_sde(SHIFTED, EXTREME, 2, 200, seed=5)
+    assert batch.diverged.all()
+    return batch
+
+
+ALL_DIVERGED = {
+    "bsde_residual_both": lambda b: bsde_residual_both(SHIFTED, EXTREME, b, 0),
+    "bsde_residual": lambda b: bsde_residual(SHIFTED, EXTREME, b, 0, -1),
+    "z_energy": lambda b: z_energy(SHIFTED, EXTREME, b),
+    "yast_check": lambda b: yast_check(SHIFTED, EXTREME, b, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_DIVERGED))
+def test_all_diverged_batch_raises_naming_the_function(name):
+    batch = all_diverged_batch()
+    expected = "bsde_residual_both" if name == "bsde_residual" else name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=rf"^{expected}: all 200 paths were excluded for "
+                                 r"leaving the 1e\+06 norm limit$"):
+            ALL_DIVERGED[name](batch)
+
+
+@pytest.mark.parametrize("sched", [constant_rate(20, 36.0),
+                                   from_linear_variance(50, 1e-14, 1e-12),
+                                   from_linear_variance(10, 1e-15, 0.999)],
+                         ids=["abar_2e-16", "alpha_near_1", "v_end_0.999"])
+def test_extreme_schedules_adjudicate_cleanly(sched):
+    # alpha_bar_n ~ 2.3e-16, every alpha within 1e-12 of 1, and a last step
+    # with variance 0.999: no warning, no diverged path, finite residuals,
+    # and the adjudicated sign still leaves the smaller residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = reverse_sde(SHIFTED, sched, 2, 200, seed=3)
+        both = bsde_residual_both(SHIFTED, sched, batch, 0)
+        energy = z_energy(SHIFTED, sched, batch)
+    assert not batch.diverged.any() and np.all(np.isfinite(batch.states))
+    adjudicated = both[ADJUDICATED_DRIFT_SIGN]
+    opposite = both[-ADJUDICATED_DRIFT_SIGN]
+    assert all(math.isfinite(v) for v in (adjudicated.rms, adjudicated.max,
+                                          opposite.rms, opposite.max))
+    assert adjudicated.paths == opposite.paths == 200
+    assert adjudicated.rms < opposite.rms
+    # unit covariance: |Z|_F^2 = beta on every path, so the energy is g(1)
+    assert energy == pytest.approx(float(sched.integrated_beta(1.0)), rel=1e-12)

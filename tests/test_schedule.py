@@ -88,6 +88,23 @@ def test_bridge_degenerate_and_constant():
         s.bridge(0.5, 0.4)
 
 
+@pytest.mark.parametrize("s", [from_linear_variance(100, 1e-4, 0.05),
+                               constant_rate(20, 690.0),
+                               from_linear_variance(50, 1e-14, 1e-12)])
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_bridge_array_end_times_match_scalar_calls(s, t):
+    r = np.concatenate(([t, 1.0], np.linspace(t, 1.0, 257),
+                        np.random.default_rng(2).uniform(t, 1.0, 50)))
+    br = s.bridge(t, r)
+    assert br.m.shape == br.s.shape == r.shape
+    for j, rj in enumerate(r):
+        one = s.bridge(t, float(rj))
+        assert type(one.m) is float and type(one.s) is float
+        assert (br.m[j], br.s[j]) == (one.m, one.s)
+    with pytest.raises(ValueError, match="t <= r"):
+        s.bridge(t, np.array([0.9, t - 1e-3]))
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(2, 40), st.floats(1e-4, 0.2), st.floats(0.2, 0.6),
        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.target import (MixtureTarget, default_axis,
+from ddpmlab.simulate import reverse_sde
+from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
                             fokker_planck_residual, gaussian_target,
                             growth_constants, load_target, save_target,
                             symmetric_mixture)
@@ -297,3 +298,141 @@ def test_target_roundtrip(tmp_path):
     assert np.array_equal(loaded.weights, t2.weights)
     assert np.array_equal(loaded.means, t2.means)
     assert np.array_equal(loaded.q, t2.q)
+
+
+# schedules at the edges of the marginal family: m -> 0 (alpha_bar_n ~ 2e-16
+# and ~ 2e-300) and s -> 0 (every alpha within 1e-12 of 1)
+EXTREME_SCHEDULES = [constant_rate(20, 36.0), constant_rate(20, 690.0),
+                     from_linear_variance(50, 1e-14, 1e-12),
+                     from_linear_variance(10, 1e-15, 0.999)]
+CACHED = ("weights", "means", "covariance", "_chol", "precision", "_log_norm",
+          "_p_mu", "_logit_offset")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 6), st.floats(0.1, 3.0),
+       st.integers(0, 2**32 - 1),
+       st.one_of(st.sampled_from(EXTREME_SCHEDULES),
+                 st.builds(from_linear_variance, st.integers(1, 60),
+                           st.floats(1e-15, 0.5), st.floats(0.5, 0.999)),
+                 st.builds(constant_rate, st.integers(1, 60),
+                           st.floats(1e-6, 700.0))))
+def test_stacked_marginals_match_per_time_construction(d, k, jitter, seed, sched):
+    rng = np.random.default_rng(seed)
+    target = _random_target(rng, d, k, jitter)
+    times = np.concatenate(([0.0, 1.0], sched.times, rng.uniform(0.0, 1.0, 12)))
+    laws = target.marginal_at(sched, times)
+    assert isinstance(laws, tuple) and len(laws) == times.size
+    x = rng.normal(scale=3.0, size=(9, d))
+    for t, law in zip(times, laws):
+        br = sched.bridge(0.0, float(t))
+        ref = GaussianMixtureDensity(
+            target.weights, br.m * target.means,
+            br.m**2 * target.covariance + br.s**2 * np.eye(d))
+        assert (law.t, law.m, law.s) == (float(t), br.m, br.s)
+        for name in CACHED:
+            assert np.array_equal(getattr(law, name), getattr(ref, name)), name
+        for name in ("score", "hessian_log", "logpdf"):
+            assert np.array_equal(getattr(law, name)(x), getattr(ref, name)(x)), name
+        assert not (law.means.flags.writeable or law.precision.flags.writeable)
+
+
+def test_stacked_marginals_square_m_like_a_single_law():
+    # m * m and Python's m**2 (libm pow) differ in the last ulp for about 1 in
+    # 1000 values of m: at such times the stack must still match a single law
+    sched = from_linear_variance(100, 1e-4, 0.05)
+    times = np.random.default_rng(0).uniform(0.0, 1.0, 20000)
+    times = times[[m * m != m**2 for m in sched.bridge(0.0, times).m.tolist()]]
+    assert times.size >= 5
+    target = MixtureTarget([0.3, 0.7], [[1.0, -1.0], [0.5, 2.0]],
+                           [[2.0, 0.7], [0.7, 1.0]])
+    for t, law in zip(times, target.marginal_at(sched, times)):
+        br = sched.bridge(0.0, float(t))
+        ref = GaussianMixtureDensity(
+            target.weights, br.m * target.means,
+            br.m**2 * target.covariance + br.s**2 * np.eye(2))
+        for name in CACHED:
+            assert np.array_equal(getattr(law, name), getattr(ref, name)), name
+
+
+def test_marginal_at_scalar_is_one_law_of_the_stack():
+    times = np.linspace(0.0, 1.0, 7)
+    laws = MIX.marginal_at(SCHED, times)
+    for t, law in zip(times, laws):
+        single = MIX.marginal_at(SCHED, t)
+        assert type(single) is type(law) and single.t == law.t
+        for name in CACHED:
+            assert np.array_equal(getattr(single, name), getattr(law, name)), name
+    assert MIX.marginal_at(SCHED, np.array([])) == ()
+
+
+@pytest.mark.parametrize("times", [1.5, -1e-300, math.nan, [0.2, 1.0 + 1e-12, 0.5],
+                                   [0.0, -0.1], [0.3, math.nan]])
+def test_marginal_at_rejects_times_outside_unit_interval(times):
+    with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+        MIX.marginal_at(SCHED, times)
+
+
+def test_marginal_at_rejects_bad_shapes_and_indefinite_covariance():
+    with pytest.raises(ValueError, match="1-D array"):
+        MIX.marginal_at(SCHED, np.full((2, 2), 0.5))
+    broken = gaussian_target([0.0, 0.0])
+    broken.covariance = np.array([[1.0, 2.0], [2.0, 1.0]])
+    # m^2 Sigma + s^2 I is indefinite at t = 0 only; one bad time fails the stack
+    with pytest.raises(ValueError, match="positive definite"):
+        broken.marginal_at(SCHED, np.array([1.0, 0.5, 0.0]))
+
+
+def _softmax_posterior(law, x):
+    """posterior_weights through the general K-major softmax, no K = 1 shortcut."""
+    x = np.asarray(x, dtype=float)
+    pi = np.exp(law._logits(x)[0])
+    pi /= pi.sum(axis=0)
+    return np.ascontiguousarray(pi.T).reshape(x.shape[:-1] + (law.n_components,))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_single_component_shortcut_is_bit_identical_on_finite_points(d):
+    rng = np.random.default_rng(d)
+    target = _random_target(rng, d, 1, 0.5)
+    x = rng.normal(scale=4.0, size=(300, d)) * np.geomspace(1e-6, 1e6, 300)[:, None]
+    for law in (target, target.marginal_at(SCHED, 0.37)):
+        pi = _softmax_posterior(law, x)
+        assert np.array_equal(law.posterior_weights(x), pi)
+        assert np.array_equal(law.posterior_weights(x[0]), pi[0])
+        assert np.array_equal(law.score(x), pi @ law._p_mu - x @ law.precision)
+        cen = law._p_mu - (pi @ law._p_mu)[..., None, :]
+        assert np.array_equal(law.hessian_log(x),
+                              np.swapaxes(pi[..., None] * cen, -1, -2) @ cen
+                              - law.precision)
+
+
+def test_single_component_shortcut_on_non_finite_points():
+    law = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+    x = np.array([[np.nan, 0.0], [np.inf, 1.0], [-np.inf, -np.inf], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        general = _softmax_posterior(law, x)
+        pi, score, hess = law.posterior_weights(x), law.score(x), law.hessian_log(x)
+    # the general softmax gives NaN there; one component is pi = 1 everywhere
+    assert np.all(np.isnan(general[:3]))
+    assert np.array_equal(pi, np.ones((4, 1)))
+    assert np.array_equal(hess, np.broadcast_to(-law.precision, (4, 2, 2)))
+    assert not np.any(np.all(np.isfinite(score[:3]), axis=-1))
+    assert np.all(np.isfinite(score[3]))
+
+
+def test_single_component_shortcut_leaves_diverged_flags(monkeypatch):
+    # every path leaves the 1e6 limit at alpha_bar_n ~ 2e-300; the shortcut
+    # must freeze and flag the same paths at the same states
+    sched = constant_rate(20, 690.0)
+    target = gaussian_target([1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fast = reverse_sde(target, sched, 2, 60, seed=4)
+        monkeypatch.setattr(GaussianMixtureDensity, "posterior_weights",
+                            _softmax_posterior)
+        general = reverse_sde(target, sched, 2, 60, seed=4)
+    assert fast.diverged.all()
+    assert np.array_equal(fast.diverged, general.diverged)
+    assert np.array_equal(fast.states, general.states, equal_nan=True)
