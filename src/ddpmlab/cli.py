@@ -49,11 +49,10 @@ def main(argv=None) -> int:
             cfg = parse_config(text)
             if args.seed is not None:
                 cfg.values["seed"] = args.seed
+            return run(cfg, out_dir=args.out)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        try:
-            return run(cfg, out_dir=args.out)
         except OSError as exc:
             print(f"error: I/O failure: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -28,21 +28,22 @@ __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "plotdata"]
 EXPERIMENTS = ("identity", "fbsde", "pde", "sign-adjudication",
                "tv-pipeline", "schedule-audit", "bounds-sweep")
 
-_COMMON_KEYS = {
-    "experiment", "paths", "substeps", "seed", "grid", "out",
-    "target.kind", "target.mean", "target.variance", "target.separation",
-    "target.weight", "target.file",
-    "schedule.kind", "schedule.n", "schedule.v_start", "schedule.v_end",
-    "schedule.total", "schedule.file",
-}
-_EXTRA_KEYS = {
-    "schedule-audit": {"gamma1", "gamma2", "expect"},
-    "identity": {"bias", "samples", "rel_tol"},
-    "fbsde": {"bias", "t_index", "mode"},
-    "pde": {"t"},
-    "sign-adjudication": {"substeps_list", "t_index", "t"},
-    "tv-pipeline": {"biases", "samples"},
-    "bounds-sweep": {"n_list", "totals"},
+# The keys each runner reads; every run also takes experiment, seed and out.
+_TARGET = {"target.kind", "target.mean", "target.variance", "target.separation",
+           "target.weight", "target.file"}
+_SCHEDULE = {"schedule.kind", "schedule.n", "schedule.v_start", "schedule.v_end",
+             "schedule.total", "schedule.file"}
+_KEYS = {
+    "schedule-audit": _SCHEDULE | {"gamma1", "gamma2", "expect"},
+    "identity": _TARGET | _SCHEDULE | {"bias", "samples", "rel_tol"},
+    "fbsde": _TARGET | _SCHEDULE | {"paths", "substeps", "t_index", "mode"},
+    "pde": _TARGET | _SCHEDULE | {"t", "grid"},
+    "sign-adjudication": _TARGET | _SCHEDULE | {"paths", "substeps_list",
+                                                "t_index", "t", "grid"},
+    "tv-pipeline": _TARGET | _SCHEDULE | {"paths", "substeps", "biases", "samples"},
+    # sweeps constant-rate schedules only: n comes from n_list
+    "bounds-sweep": _TARGET | {"schedule.kind", "schedule.total", "paths",
+                               "substeps", "n_list", "totals"},
 }
 
 
@@ -99,10 +100,11 @@ def parse_config(text: str) -> ExperimentConfig:
     experiment = values["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    allowed = _COMMON_KEYS | _EXTRA_KEYS[experiment]
-    unknown = sorted(set(values) - allowed)
+    unknown = sorted(set(values) - {"experiment", "seed", "out"} - _KEYS[experiment])
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if experiment == "bounds-sweep" and values.get("schedule.kind", "constant") != "constant":
+        raise ConfigError("bounds-sweep takes only schedule.kind = constant")
     return ExperimentConfig(experiment=experiment, values=values)
 
 
@@ -177,13 +179,10 @@ def _write_residual_csv(path, rows):
                      f"{paths},{substeps}\n")
 
 
-def _common(cfg):
-    target = _build_target(cfg)
-    schedule = _build_schedule(cfg)
-    paths = int(cfg.get("paths", 20000))
-    substeps = int(cfg.get("substeps", 2))
-    seed = int(cfg.get("seed", 7))
-    return target, schedule, paths, substeps, seed
+def _sizes(cfg, *keys):
+    """The integer settings `keys` among paths, substeps and seed."""
+    defaults = {"paths": 20000, "substeps": 2, "seed": 7}
+    return [int(cfg.get(key, defaults[key])) for key in keys]
 
 
 def _run_schedule_audit(cfg, out_dir, summary):
@@ -205,7 +204,8 @@ def _run_schedule_audit(cfg, out_dir, summary):
 
 
 def _run_identity(cfg, out_dir, summary):
-    target, schedule, _, _, seed = _common(cfg)
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
+    [seed] = _sizes(cfg, "seed")
     samples = int(cfg.get("samples", 100000))
     bias = float(cfg.get("bias", 1.0))
     rel_tol = float(cfg.get("rel_tol", 0.02))
@@ -234,7 +234,8 @@ def _run_identity(cfg, out_dir, summary):
 
 
 def _run_fbsde(cfg, out_dir, summary):
-    target, schedule, paths, substeps, seed = _common(cfg)
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
+    paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
     batch = reverse_sde(target, schedule, substeps, paths, seed)
     t_index = int(cfg.get("t_index", 0))
     both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
@@ -262,7 +263,7 @@ def _run_fbsde(cfg, out_dir, summary):
 
 
 def _run_pde(cfg, out_dir, summary):
-    target, schedule, *_ = _common(cfg)
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
     t = float(cfg.get("t", 0.3))
     pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
     rows = []
@@ -282,7 +283,8 @@ def _run_pde(cfg, out_dir, summary):
 
 
 def _run_sign_adjudication(cfg, out_dir, summary):
-    target, schedule, paths, _, seed = _common(cfg)
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
+    paths, seed = _sizes(cfg, "paths", "seed")
     subs = cfg.get("substeps_list", [128, 256, 512, 1024])
     subs = [int(s) for s in (subs if isinstance(subs, list) else [subs])]
     t_index = int(cfg.get("t_index", 0))
@@ -331,7 +333,8 @@ def _run_sign_adjudication(cfg, out_dir, summary):
 
 
 def _run_tv_pipeline(cfg, out_dir, summary):
-    target, schedule, paths, substeps, seed = _common(cfg)
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
+    paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
     biases = cfg.get("biases", [0.0, 0.25, 0.5, 1.0])
     biases = [float(b) for b in (biases if isinstance(biases, list) else [biases])]
     samples = int(cfg.get("samples", 20000))
@@ -378,7 +381,8 @@ def _run_tv_pipeline(cfg, out_dir, summary):
 
 
 def _run_bounds_sweep(cfg, out_dir, summary):
-    target, _, paths, substeps, seed = _common(cfg)
+    target = _build_target(cfg)
+    paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
     n_list = cfg.get("n_list", [10, 50, 100, 500])
     n_list = [int(n) for n in (n_list if isinstance(n_list, list) else [n_list])]
     total = float(cfg.get("schedule.total", 4.0))

@@ -148,16 +148,17 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     h = times[1] - times[0]
     drift = np.zeros((batch.paths, batch.d))
     ito = np.zeros((batch.paths, batch.d))
+    terminal = target.score(batch.states[:, -1])
+    y_t = terminal  # Y_1, as the law at time 0 is the target itself
     for k, (beta, law, xk) in enumerate(_along(target, schedule, batch, t_index),
                                         t_index):
         yk = law.score(xk)
+        if k == t_index:
+            y_t = yk
         zk = math.sqrt(beta) * law.hessian_log(xk)
         dw = math.sqrt(h) * batch.noises[:, k]
         drift += beta * yk * h
         ito += np.einsum("pij,pj->pi", zk, dw)
-    terminal = target.score(batch.states[:, -1])
-    y_t = target.marginal_at(schedule, 1.0 - times[t_index]).score(
-        batch.states[:, t_index])
     out = {}
     for sign in (-1, 1):
         res = terminal - y_t - sign * 0.5 * drift - ito
@@ -193,8 +194,8 @@ class YastReport:
 
 
 def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
-               batch: TrajectoryBatch, t_index: int, mode: str | None = None,
-               basis_degree: int = 3) -> YastReport:
+               batch: TrajectoryBatch, t_index: int,
+               mode: str | None = None) -> YastReport:
     """Verify the martingale identity Y_t = f(t) E*[int_t^1 g(r) Y_r dr | F_t].
 
     Gaussian-oracle mode (unit-covariance single Gaussians): the conditional
@@ -202,7 +203,7 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     the headline rms compares f(t) times its left-point quadrature on the
     simulation grid with Y_t, so it carries integrator error only.
     Regression mode (mixtures): cross-sectional least squares of the realized
-    integral on a polynomial basis of X_t (degree `basis_degree`), then
+    integral on the cubic polynomial basis of X_t, then
     rms of f(t) * prediction - Y_t, relative to rms(Y_t).  Both modes also
     report the tower-property gap mean(f * I) - mean(Y_t) with its SE.
     """
@@ -244,7 +245,7 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     else:
         if x_t.shape[0] < 10_000:
             raise ValueError("regression mode needs at least 1e4 paths")
-        basis = _poly_basis(x_t, basis_degree)
+        basis = _poly_basis(x_t)
         coef, *_ = np.linalg.lstsq(basis, integral, rcond=None)
         resid = f_t * (basis @ coef) - y_t
     norms = np.sqrt(np.sum(resid**2, axis=-1))
@@ -255,14 +256,14 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
                       paths=int(x_t.shape[0]), t_index=t_index)
 
 
-def _poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of total degree <= degree in the columns of x."""
+def _poly_basis(x: np.ndarray) -> np.ndarray:
+    """Monomials of total degree <= 3 in the columns of x."""
     cols = [np.ones(x.shape[0])]
     if x.shape[1] == 1:
-        for p in range(1, degree + 1):
+        for p in range(1, 4):
             cols.append(x[:, 0] ** p)
     else:
-        for p in range(1, degree + 1):
+        for p in range(1, 4):
             for combo in combinations_with_replacement(range(x.shape[1]), p):
                 term = np.ones(x.shape[0])
                 for j in combo:
@@ -272,15 +273,16 @@ def _poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
 
 
 def pde_residual(target: MixtureTarget, schedule: NoiseSchedule, t: float,
-                 points, rhs_sign: int, dt: float = 1e-6):
+                 points, rhs_sign: int):
     """Residual of the semilinear system for u(t, x) = grad log p_{1-t}(x):
 
         d/dt u_k + grad u_k . (beta/2 x + beta u) + beta/2 lap u_k
             - rhs_sign * beta/2 u_k.
 
-    Spatial derivatives are analytic; d/dt is a centered difference within
-    the same beta interval.  Returns (max_abs, rms, max_abs_u).
+    Spatial derivatives are analytic; d/dt is a centered difference with
+    step 1e-6 within the same beta interval.  Returns (max_abs, rms, max_abs_u).
     """
+    dt = 1e-6
     if target.d > 2:
         raise ValueError("grid audit restricted to d <= 2")
     if rhs_sign not in (-1, 1):
@@ -337,15 +339,9 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
     means = values.mean(axis=0)
     ses = values.std(axis=0) / math.sqrt(paths)
     axis = default_axis(target)
-    if d == 1:
-        pts = axis[:, None]
-        w = axis[1] - axis[0]
-        phi = np.exp(-0.5 * axis**2) / math.sqrt(2.0 * math.pi)
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        w = (axis[1] - axis[0]) ** 2
-        phi = np.exp(-0.5 * np.sum(pts**2, axis=1)) / (2.0 * math.pi)
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")])
+    w = (axis[1] - axis[0]) ** d
+    phi = np.exp(-0.5 * np.sum(pts**2, axis=1)) / (2.0 * math.pi) ** (d / 2)
     reference = float(np.sum(phi * laws[0].pdf(pts)) * w)
     drift_z = np.abs(means - means[0]) / np.maximum(ses, 1e-300)
     return {

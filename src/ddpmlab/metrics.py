@@ -82,15 +82,15 @@ def tv(p: DensityGrid, q: DensityGrid) -> float:
     return float(0.5 * np.abs(p.values - q.values).sum() * p.cell_volume)
 
 
-def kl(p: DensityGrid, q: DensityGrid, floor: float = 1e-300):
-    """int p log(p/q); q-cells below `floor` are floored and counted.
+def kl(p: DensityGrid, q: DensityGrid):
+    """int p log(p/q); q-cells below 1e-300 are floored there and counted.
 
     Returns (value, floored_cell_count).
     """
     p.check_axes(q)
     pv = p.values
-    qv = np.maximum(q.values, floor)
-    floored = int(np.count_nonzero((q.values < floor) & (pv > 0.0)))
+    qv = np.maximum(q.values, 1e-300)
+    floored = int(np.count_nonzero((q.values < 1e-300) & (pv > 0.0)))
     mask = pv > 0.0
     val = float(np.sum(pv[mask] * (np.log(pv[mask]) - np.log(qv[mask])))
                 * p.cell_volume)
@@ -105,12 +105,11 @@ def _target_iqr(target: GaussianMixtureDensity) -> float:
     return hi - lo
 
 
-def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int,
-                 min_bins: int = 64) -> np.ndarray:
+def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int) -> np.ndarray:
     """Freedman-Diaconis bin edges derived from the analytic target (1D).
 
     Width 2*IQR/n^(1/3) over the default evaluation range, floored at
-    `min_bins` bins, so the binning is deterministic and target-adapted.
+    64 bins, so the binning is deterministic and target-adapted.
     """
     if target.d != 1:
         raise ValueError("fd_bin_edges: histogram TV is implemented for d == 1, "
@@ -118,7 +117,7 @@ def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int,
     axis = default_axis(target)
     lo, hi = float(axis[0]), float(axis[-1])
     width = 2.0 * _target_iqr(target) / max(n_samples, 1) ** (1.0 / 3.0)
-    bins = max(min_bins, int(math.ceil((hi - lo) / width)))
+    bins = max(64, int(math.ceil((hi - lo) / width)))
     return np.linspace(lo, hi, bins + 1)
 
 
@@ -244,8 +243,8 @@ class IdentityReport:
 
 
 def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
-                           score_model: ScoreModel, samples: int, seed: int,
-                           antithetic: bool = True) -> IdentityReport:
+                           score_model: ScoreModel, samples: int,
+                           seed: int) -> IdentityReport:
     """Check, with shared random numbers, the exact identity
 
         E|s_i(x_i) - grad log p_i(x_i)|^2
@@ -258,7 +257,7 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
     the residual purely Monte Carlo at a usable scale for small 1 - abar_i.
     """
     n = schedule.n
-    n_pairs = max(1, samples // 2) if antithetic else samples
+    n_pairs = max(1, samples // 2)
     x0, z = _forward_pairs(target, n_pairs, seed)
     abars = schedule.alpha_bars
     per_gap = np.empty(n)
@@ -280,12 +279,9 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
         m = math.sqrt(abars[i - 1])
         sig = math.sqrt(1.0 - abars[i - 1])
         lhs_p, gap_p = one_side(i, m, sig, law, x0, z)
-        if antithetic:
-            lhs_m, gap_m = one_side(i, m, sig, law, x0, -z)
-            lhs_vals = 0.5 * (lhs_p + lhs_m)
-            gap_vals = 0.5 * (gap_p + gap_m)
-        else:
-            lhs_vals, gap_vals = lhs_p, gap_p
+        lhs_m, gap_m = one_side(i, m, sig, law, x0, -z)
+        lhs_vals = 0.5 * (lhs_p + lhs_m)
+        gap_vals = 0.5 * (gap_p + gap_m)
         per_gap[i - 1] = gap_vals.mean()
         per_se[i - 1] = gap_vals.std() / math.sqrt(n_pairs)
         pooled_gap_samples += gap_vals / n
@@ -296,7 +292,7 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
         pooled_gap_se=float(pooled_gap_samples.std() / math.sqrt(n_pairs)),
         per_step_gap=per_gap,
         per_step_se=per_se,
-        samples=(2 * n_pairs) if antithetic else n_pairs,
+        samples=2 * n_pairs,
     )
 
 

@@ -57,9 +57,13 @@ def _kept_paths(name: str, diverged, detail: str = "") -> np.ndarray:
 
 
 def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
-    if chunk is not None:
-        return max(1, int(chunk))
-    return max(256, min(paths, _CHUNK_BUDGET // max(1, steps * d)))
+    # no chunk, the last included, holds one path of several: numpy hands a
+    # one-row product to BLAS's vector kernel, which rounds differently
+    size = (max(256, min(paths, _CHUNK_BUDGET // max(1, steps * d)))
+            if chunk is None else max(2, int(chunk)))
+    while paths % size == 1 and size < paths:
+        size += 1
+    return size
 
 
 def _draw_block(seed, start, count, steps, d, with_uniform=False):
@@ -176,8 +180,8 @@ class ScoreModel:
             if not np.any(over):
                 return s
             s = s.copy()
-            if variant == "oracle":
-                s[over] = self._laws[i - 1].score(x[over])
+            if variant == "oracle":  # on every row, so no row is scored alone
+                s[over] = self._laws[i - 1].score(x)[over]
             else:
                 s[over] *= (bound[over] / norm[over])[..., None]
             return s
@@ -205,8 +209,7 @@ class ScoreModel:
 
 
 def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
-            schedule: NoiseSchedule | None = None,
-            variant: str = "oracle") -> ScoreModel:
+                variant: str = "oracle") -> ScoreModel:
     """Clip a model to the growth envelope B_i.
 
     variant="oracle" substitutes the true marginal score wherever the model
@@ -217,8 +220,7 @@ def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
         raise ValueError("variant must be 'oracle' or 'projection'")
     if variant == "oracle" and score_model.target is None:
         raise ValueError("oracle-variant clipping needs an attached analytic target")
-    schedule = schedule or score_model.schedule
-    return ScoreModel(score_model.target, schedule, mode="clipped",
+    return ScoreModel(score_model.target, score_model.schedule, mode="clipped",
                       _clip=(score_model, envelope, variant))
 
 

@@ -280,12 +280,12 @@ def symmetric_mixture(separation: float = 2.0, weight: float = 0.5) -> MixtureTa
     return MixtureTarget([weight, 1.0 - weight], [[-separation], [separation]], [[1.0]])
 
 
-def growth_constants(target: MixtureTarget, c1_margin: float = 1.1) -> GrowthConstants:
+def growth_constants(target: MixtureTarget) -> GrowthConstants:
     """Conservative closed-form envelope constants for a mixture target.
 
     |grad log p + Qx| <= |Q|_F max_k |mu_k| and
     |hess log p| <= |Q|_F + |Q|_F^2 * (max pairwise mean spread)^2;
-    c0 is the larger of the two, c1 = c1_margin * lambda_max(Q).
+    c0 is the larger of the two, c1 = 1.1 * lambda_max(Q).
     """
     q_fro = float(np.linalg.norm(target.q, "fro"))
     mu_norm_max = float(np.sqrt(np.sum(target.means**2, axis=1)).max())
@@ -295,7 +295,7 @@ def growth_constants(target: MixtureTarget, c1_margin: float = 1.1) -> GrowthCon
     hess_bound = q_fro + q_fro**2 * spread**2
     return GrowthConstants(
         c0=max(grad_bound, hess_bound),
-        c1=c1_margin * float(target._q_eigvals.max()),
+        c1=1.1 * float(target._q_eigvals.max()),
         lambda_min=float(target._q_eigvals.min()),
     )
 
@@ -312,14 +312,14 @@ def default_axis(target: GaussianMixtureDensity, points: int = 2001) -> np.ndarr
     return np.linspace(-half, half, points)
 
 
-def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points,
-                           dt: float = 1e-6):
+def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points):
     """Residual of the forward Kolmogorov equation at interior time t.
 
     d/dt p_t - beta/2 * sum_j d/dy_j (y_j p_t) - beta/2 * lap p_t, with the
-    spatial terms analytic and d/dt by centered differences inside the same
-    beta interval.  Returns (max_abs, rms, max_density).
+    spatial terms analytic and d/dt by a centered difference with step 1e-6
+    inside the same beta interval.  Returns (max_abs, rms, max_density).
     """
+    dt = 1e-6
     if target.d > 2:
         raise ValueError("residual audit is restricted to d <= 2")
     knots = schedule.times

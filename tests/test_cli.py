@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import pytest
@@ -78,6 +79,42 @@ def test_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
     bad = write(tmp_path, "bad.cfg", "experiment = identity\nbogus_key = 1\n")
     assert main(["run", bad]) == 2
+
+
+# (experiment, key) pairs the runner does not read; each was once accepted
+# and silently ignored
+IGNORED = [("schedule-audit", key) for key in (
+    "target.kind", "target.mean", "target.variance", "target.separation",
+    "target.weight", "target.file", "paths", "substeps", "grid")] + [
+    ("identity", "paths"), ("identity", "substeps"), ("identity", "grid"),
+    ("fbsde", "bias"), ("fbsde", "grid"), ("pde", "paths"), ("pde", "substeps"),
+    ("sign-adjudication", "substeps"), ("tv-pipeline", "grid"),
+    ("bounds-sweep", "grid"), ("bounds-sweep", "schedule.n"),
+    ("bounds-sweep", "schedule.v_start"), ("bounds-sweep", "schedule.v_end"),
+    ("bounds-sweep", "schedule.file")]
+
+
+@pytest.mark.parametrize("text, key", [
+    (f"experiment = {experiment}\n{key} = 1\n", key) for experiment, key in IGNORED
+] + [("experiment = bounds-sweep\nschedule.kind = linear\n", "schedule.kind")],
+    ids=[f"{e}:{k}" for e, k in IGNORED] + ["bounds-sweep:schedule.kind=linear"])
+def test_parse_config_rejects_keys_the_run_ignores(text, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = schedule-audit\ngamma2 = 30.67\n", "gamma1"),
+    ("experiment = identity\ntarget.kind = banana\n", "banana"),
+    ("experiment = bounds-sweep\nschedule.kind = file\n", "schedule.kind"),
+    ("experiment = fbsde\nschedule.kind = file\n", "schedule.file"),
+], ids=["missing_gamma1", "unknown_target_kind", "sweep_schedule_file",
+        "missing_schedule_file"])
+def test_config_errors_exit_2(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_identity_run_byte_identical(tmp_path):

@@ -11,7 +11,8 @@ from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, bsde_processes,
                            yast_check, z_energy)
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
-from ddpmlab.target import default_axis, gaussian_target, symmetric_mixture
+from ddpmlab.target import (MixtureTarget, default_axis, gaussian_target,
+                            symmetric_mixture)
 
 GAUSS = gaussian_target([0.0])
 SHIFTED = gaussian_target([1.5])
@@ -59,6 +60,21 @@ def test_bsde_residual_terminal_index_is_zero():
     batch = reverse_sde(SHIFTED, SCHED, 16, 32, seed=4)
     stats = bsde_residual(SHIFTED, SCHED, batch, batch.times.size - 1, -1)
     assert stats.rms == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("t_index", [0, 5, 64, 127, 128])
+def test_bsde_residual_takes_y_t_from_its_traversal(monkeypatch, t_index):
+    # Y_t is the score at the traversal's first point, so the laws are built
+    # once; at the last grid point Y_1 is the terminal score
+    batch = reverse_sde(MIX, SCHED, 16, 64, seed=6)  # 128 steps
+    built = []
+    marginal_at = MixtureTarget.marginal_at
+    monkeypatch.setattr(MixtureTarget, "marginal_at", lambda self, schedule, t: (
+        built.append(np.size(t)) or marginal_at(self, schedule, t)))
+    both = bsde_residual_both(MIX, SCHED, batch, t_index)
+    assert built == [128 - t_index]
+    if t_index == 128:
+        assert both[-1].rms == both[1].rms == 0.0
 
 
 def test_bsde_requires_noises():
@@ -151,6 +167,19 @@ def test_h_martingale_constancy():
     sched = from_linear_variance(40, 1e-3, 0.05)
     out = h_martingale_check(MIX, sched, 30000, seed=12,
                              times=np.linspace(0.0, 1.0, 10))
+    assert out["max_drift_z"] <= 3.0
+    assert out["min_value"] >= 0.0
+    assert out["means"][0] == pytest.approx(out["reference"],
+                                            abs=4.0 * out["std_errs"][0])
+
+
+def test_h_martingale_constancy_2d():
+    # anisotropic d = 2 mixture: the reference integrates over the 2-D grid
+    target = MixtureTarget([0.3, 0.7], [[-1.0, 0.5], [1.2, -0.4]],
+                           [[2.0, 0.3], [0.3, 0.7]])
+    sched = from_linear_variance(40, 1e-3, 0.05)
+    out = h_martingale_check(target, sched, 20000, seed=12,
+                             times=np.linspace(0.0, 1.0, 6))
     assert out["max_drift_z"] <= 3.0
     assert out["min_value"] >= 0.0
     assert out["means"][0] == pytest.approx(out["reference"],

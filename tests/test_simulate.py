@@ -9,7 +9,8 @@ from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import (ScoreModel, _draw_block, ddpm_sample, forward_chain,
                               growth_clip, path_generator, reverse_sde,
                               reverse_transition_density, save_trajectories)
-from ddpmlab.target import gaussian_target, growth_constants, symmetric_mixture
+from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
+                            growth_constants, symmetric_mixture)
 
 MIX = symmetric_mixture()
 SCHED = constant_rate(20, 4.0)
@@ -193,6 +194,59 @@ def test_chunk_invariance_girsanov_bound():
     b = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11, chunk=7)
     assert (a.rhs, a.lhs, a.lhs_se, a.terms, a.notes) == \
         (b.rhs, b.lhs, b.lhs_se, b.terms, b.notes)
+
+
+def _anisotropic_mixture(seed, d, k, jitter):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    return MixtureTarget(rng.uniform(0.05, 1.0, k), rng.uniform(-3.0, 3.0, (k, d)),
+                         a @ a.T + jitter * np.eye(d))
+
+
+def _sample(name, target, chunk):
+    """201 paths at seed 11 on SCHED, record full: chunks of 2, 4, 5, 8, ...
+    paths would leave the last path alone."""
+    if name == "forward":
+        return forward_chain(target, SCHED, 201, 11, chunk=chunk)
+    if name == "reverse_exact":
+        return reverse_sde(target, SCHED, 2, 201, 11, chunk=chunk)
+    model = ScoreModel(target, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
+    if name == "reverse_model":
+        return reverse_sde(model, SCHED, 3, 201, 11, score_mode="model", chunk=chunk)
+    if name == "ddpm_clipped":
+        # an envelope tight enough that the oracle replaces some paths' scores
+        model = growth_clip(model, GrowthConstants(c0=0.5, c1=0.2, lambda_min=1.0))
+    return ddpm_sample(model, SCHED, 201, 11, chunk=chunk)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 6), st.floats(0.1, 3.0),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(["forward", "ddpm", "ddpm_clipped", "reverse_exact",
+                        "reverse_model"]),
+       st.integers(1, 64))
+def test_chunk_invariance_and_noise_sanity_multivariate(d, k, jitter, seed,
+                                                        sampler, chunk):
+    # up to d = 3 and six components with an anisotropic shared precision
+    target = _anisotropic_mixture(seed, d, k, jitter)
+    a, b = _sample(sampler, target, None), _sample(sampler, target, chunk)
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.diverged, b.diverged)
+    np.testing.assert_array_equal(a.noises, b.noises)
+    assert np.all(np.isfinite(a.states))
+    assert a.noises.shape == (201, a.times.size - 1, d)
+    assert a.noise_sanity()[2], a.noise_sanity()
+
+
+@pytest.mark.parametrize("sampler", ["ddpm", "ddpm_clipped"])
+@pytest.mark.parametrize("chunk", [1, 2, 4, 7, 100])
+def test_no_path_is_scored_alone(sampler, chunk):
+    # 201 paths: chunk 1 is raised to 2, and chunks of 2, 4 or 100 would
+    # leave path 200 alone, where a one-row product rounds differently; the
+    # clipping oracle must not score a chunk's one clipped path alone either
+    target = _anisotropic_mixture(3, 3, 6, 0.5)
+    np.testing.assert_array_equal(_sample(sampler, target, None).states,
+                                  _sample(sampler, target, chunk).states)
 
 
 SAMPLERS = {
