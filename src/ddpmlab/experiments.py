@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner.
 
 Configs are plain `key = value` text with `#` comments and dotted keys for
-nested settings.  Every run echoes its fully-resolved configuration and a
-summary.txt listing each asserted invariant as PASS/FAIL plus every
-report-only quantity; the run fails (exit 1) iff any assertion fails.
+nested settings.  Every run echoes the keys its config gave, plus `out` and
+any `--seed` override, to config_resolved.txt (defaults are not filled in),
+and writes a summary.txt listing each asserted invariant as PASS/FAIL plus
+every report-only quantity; the run fails (exit 1) iff any assertion fails.
 """
 
 from __future__ import annotations

@@ -66,20 +66,15 @@ def g_weight(schedule: NoiseSchedule, r) -> np.ndarray:
     return schedule.beta(1.0 - r) * np.exp(0.5 * schedule.integrated_beta(1.0 - r))
 
 
-def _step_betas(schedule: NoiseSchedule, batch: TrajectoryBatch) -> np.ndarray:
-    """Constant beta over each reverse substep of the batch grid."""
-    nsteps = batch.times.size - 1
-    if nsteps % schedule.n != 0:
-        raise ValueError("batch grid does not refine the schedule intervals")
-    return _reverse_grid(schedule, nsteps // schedule.n)[2]
-
-
 def _along(target, schedule, batch, start, terminal=False):
     """(beta_k, law of X at reverse time t_k, X_k) for each substep k from
-    `start`, streaming over the batch grid; with `terminal`, the last grid
-    point follows under the last substep's beta."""
+    `start`, streaming over the batch grid, with beta_k constant over the
+    substep; with `terminal`, the last grid point follows under the last
+    substep's beta."""
     times = batch.times
-    betas = _step_betas(schedule, batch)
+    if (times.size - 1) % schedule.n != 0:
+        raise ValueError("batch grid does not refine the schedule intervals")
+    betas = _reverse_grid(schedule, (times.size - 1) // schedule.n)[2]
     stop = times.size if terminal else times.size - 1
     laws = target.marginal_at(schedule, 1.0 - times[start:stop])
     for k, law in enumerate(laws, start):
@@ -214,37 +209,38 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     t = float(times[t_index])
     keep = _kept_paths("yast_check", batch.diverged)
     x_t = batch.states[keep, t_index]
-    y_t = target.marginal_at(schedule, 1.0 - t).score(x_t)
-    f_t = float(f_weight(schedule, t))
-    h = times[1] - times[0]
-    integral = np.zeros((batch.paths, batch.d))  # left-point sum of g(r) Y_r
-    for beta, law, x in _along(target, schedule, batch, t_index):
-        g = beta * math.exp(0.5 * schedule.integrated_beta(law.t))
-        integral += g * law.score(x) * h
-    integral = integral[keep]
-
-    tower = f_t * integral - y_t
-    tower_gap = float(np.abs(tower.mean(axis=0)).max())
-    tower_se = float((tower.std(axis=0) / math.sqrt(x_t.shape[0])).max())
-
     if mode is None:
         mode = "gaussian" if target.n_components == 1 else "regression"
     if mode == "gaussian":
         if target.n_components != 1 or not np.allclose(target.covariance,
                                                        np.eye(target.d)):
             raise ValueError("gaussian-oracle mode needs a unit-covariance Gaussian")
-        mu0 = target.means[0]
-        g_t = float(schedule.integrated_beta(1.0 - t))
-        betas = _step_betas(schedule, batch)
-        quad = 0.0
-        for k in range(t_index, times.size - 1):
-            g_r = float(schedule.integrated_beta(1.0 - times[k]))
-            quad += betas[k] * math.exp(0.5 * g_r) * math.exp(-0.5 * (g_t - g_r)) * h
-        dev = x_t - math.exp(-0.5 * g_t) * mu0
+    elif x_t.shape[0] < 10_000:
+        raise ValueError("regression mode needs at least 1e4 paths")
+    f_t = float(f_weight(schedule, t))
+    g_t = float(schedule.integrated_beta(1.0 - t))
+    h = times[1] - times[0]
+    integral = np.zeros((batch.paths, batch.d))  # left-point sum of g(r) Y_r
+    quad = 0.0  # Gaussian oracle: the sum of g(r) E*[Y_r | X_t], per unit of -dev
+    for k, (beta, law, x) in enumerate(_along(target, schedule, batch, t_index),
+                                       t_index):
+        yk = law.score(x)
+        if k == t_index:
+            y_t = yk[keep]
+        g_r = float(schedule.integrated_beta(law.t))
+        g = beta * math.exp(0.5 * g_r)
+        integral += g * yk * h
+        quad += g * math.exp(-0.5 * (g_t - g_r)) * h
+    integral = integral[keep]
+
+    tower = f_t * integral - y_t
+    tower_gap = float(np.abs(tower.mean(axis=0)).max())
+    tower_se = float((tower.std(axis=0) / math.sqrt(x_t.shape[0])).max())
+
+    if mode == "gaussian":
+        dev = x_t - math.exp(-0.5 * g_t) * target.means[0]
         resid = f_t * (-dev) * quad - y_t
     else:
-        if x_t.shape[0] < 10_000:
-            raise ValueError("regression mode needs at least 1e4 paths")
         basis = _poly_basis(x_t)
         coef, *_ = np.linalg.lstsq(basis, integral, rcond=None)
         resid = f_t * (basis @ coef) - y_t

@@ -13,7 +13,7 @@ freshly built per-path generator exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -89,18 +89,15 @@ class TrajectoryBatch:
     """Simulated paths on a time grid, with the driving noise retained.
 
     states has shape (paths, len(times), d); noises, when retained, holds the
-    standard-normal step draws with shape (paths, len(times)-1, d).
+    standard-normal step draws with shape (paths, len(times)-1, d); diverged
+    flags the paths frozen for leaving the norm limit.
     """
 
     times: np.ndarray
     states: np.ndarray
     noises: np.ndarray | None
     direction: str
-    diverged: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.diverged is None:
-            self.diverged = np.zeros(self.states.shape[0], dtype=bool)
+    diverged: np.ndarray
 
     @property
     def paths(self) -> int:

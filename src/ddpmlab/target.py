@@ -194,12 +194,12 @@ class GaussianMixtureDensity:
         """Mixture CDF; only defined in dimension 1."""
         if self.d != 1:
             raise ValueError("cdf_1d requires d == 1")
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
         x = np.asarray(x, dtype=float)
         std = math.sqrt(self.covariance[0, 0])
         z = (x[..., None] - self.means[:, 0]) / std
-        return norm.cdf(z) @ self.weights
+        return ndtr(z) @ self.weights
 
 
 class MixtureTarget(GaussianMixtureDensity):

@@ -1,9 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import ddpmlab
 from ddpmlab.cli import main
 from ddpmlab.experiments import ConfigError, parse_config, run
 
@@ -308,3 +311,36 @@ def test_experiments_refuse_an_all_diverged_batch(tmp_path, text, name):
         with pytest.raises(ValueError, match=rf"^{name}: all 50 paths were excluded "
                                              r"for leaving the 1e\+06 norm limit$"):
             run(parse_config(text), str(tmp_path))
+
+
+FOOTPRINT_CONFIGS = {
+    "schedule-audit": "schedule.n = 1000\ngamma1 = 0.15\ngamma2 = 30.67\n",
+    "identity": "schedule.kind = constant\nschedule.n = 10\nsamples = 2000\n"
+                "rel_tol = 0.2\n",
+    "fbsde": "target.kind = gaussian\nschedule.kind = constant\nschedule.n = 4\n"
+             "paths = 200\nsubsteps = 16\n",
+    "pde": "target.kind = gaussian\nschedule.kind = constant\nschedule.n = 8\n"
+           "t = 0.3\ngrid = 51\n",
+    "sign-adjudication": "target.kind = gaussian\nschedule.kind = constant\n"
+                         "schedule.n = 4\npaths = 20\nsubsteps_list = 2,4\ngrid = 51\n",
+    "tv-pipeline": "schedule.kind = constant\nschedule.n = 10\npaths = 200\n"
+                   "samples = 200\nbiases = 0.5\n",
+}
+
+
+def test_runs_never_import_scipy_stats(tmp_path):
+    # scipy.stats imports about 430 modules; only bounds-sweep (spearmanr)
+    # needs it, so a fresh interpreter running every other experiment must
+    # never load it
+    runs = []
+    for experiment, text in FOOTPRINT_CONFIGS.items():
+        cfg = write(tmp_path, f"{experiment}.cfg", f"experiment = {experiment}\n{text}")
+        runs.append(["run", cfg, "--out", str(tmp_path / experiment)])
+    script = ("import sys\nfrom ddpmlab.cli import main\n"
+              f"codes = [main(argv) for argv in {runs!r}]\n"
+              "print(codes, 'scipy.stats' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddpmlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n"

@@ -9,10 +9,11 @@ from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, bsde_processes,
                            bsde_residual, bsde_residual_both, f_weight,
                            g_weight, h_martingale_check, pde_residual,
                            yast_check, z_energy)
+from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
-from ddpmlab.target import (MixtureTarget, default_axis, gaussian_target,
-                            symmetric_mixture)
+from ddpmlab.target import (MixtureTarget, default_axis, fokker_planck_residual,
+                            gaussian_target, growth_constants, symmetric_mixture)
 
 GAUSS = gaussian_target([0.0])
 SHIFTED = gaussian_target([1.5])
@@ -125,6 +126,20 @@ def test_yast_regression_mode_mixture():
     rep = yast_check(MIX, sched, batch, mid)
     assert rep.mode == "regression"
     assert rep.rms_relative <= 0.10
+
+
+@pytest.mark.parametrize("t_index", [0, 5, 64, 127])
+def test_yast_check_takes_y_t_from_its_traversal(monkeypatch, t_index):
+    # Y_t is the traversal's first score on the kept paths, and the
+    # Gaussian-oracle quadrature is summed in the same loop
+    batch = reverse_sde(GAUSS, SCHED, 16, 64, seed=6)  # 128 steps
+    built = []
+    marginal_at = MixtureTarget.marginal_at
+    monkeypatch.setattr(MixtureTarget, "marginal_at", lambda self, schedule, t: (
+        built.append(np.size(t)) or marginal_at(self, schedule, t)))
+    rep = yast_check(GAUSS, SCHED, batch, t_index)
+    assert built == [128 - t_index]
+    assert rep.mode == "gaussian" and rep.paths == 64
 
 
 def test_yast_regression_requires_paths():
@@ -247,3 +262,34 @@ def test_extreme_schedules_adjudicate_cleanly(sched):
     assert adjudicated.rms < opposite.rms
     # unit covariance: |Z|_F^2 = beta on every path, so the energy is g(1)
     assert energy == pytest.approx(float(sched.integrated_beta(1.0)), rel=1e-12)
+
+
+G3 = gaussian_target([0.0, 0.5, -1.0])
+PTS3 = np.zeros((2, 3))
+AX = np.linspace(-1.0, 1.0, 3)
+GUARDS = {
+    "pde_residual_d3": (lambda: pde_residual(G3, SCHED, 0.3, PTS3, -1),
+                        "grid audit restricted to d <= 2"),
+    "fokker_planck_residual_d3": (lambda: fokker_planck_residual(G3, SCHED, 0.3, PTS3),
+                                  "residual audit is restricted to d <= 2"),
+    "h_martingale_check_d3": (lambda: h_martingale_check(G3, SCHED, 10, 1, [0.5]),
+                              "density evaluation restricted to d <= 2"),
+    "score_growth_audit_d3": (lambda: score_growth_audit(
+        G3, SCHED, growth_constants(G3), t_grid=[0.5], points=PTS3),
+        "grid audit restricted to d <= 2"),
+    "grid_from_density_3_axes": (lambda: grid_from_density(G3, (AX, AX, AX)),
+                                 "density grids support d <= 2"),
+    "h_martingale_check_above_1": (lambda: h_martingale_check(GAUSS, SCHED, 10, 1, [1.5]),
+                                   r"checkpoints must lie in \[0, 1\]"),
+    "h_martingale_check_below_0": (lambda: h_martingale_check(GAUSS, SCHED, 10, 1, [-0.1]),
+                                   r"checkpoints must lie in \[0, 1\]"),
+    "pde_residual_rhs_sign_0": (lambda: pde_residual(GAUSS, SCHED, 0.3, AX, 0),
+                                r"rhs_sign must be \+1 or -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_input_guards_raise_their_message(name):
+    call, message = GUARDS[name]
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
@@ -436,3 +437,20 @@ def test_single_component_shortcut_leaves_diverged_flags(monkeypatch):
     assert fast.diverged.all()
     assert np.array_equal(fast.diverged, general.diverged)
     assert np.array_equal(fast.states, general.states, equal_nan=True)
+
+
+@pytest.mark.parametrize("target", [
+    symmetric_mixture(), gaussian_target([1.5], [[0.4]]),
+    MixtureTarget([0.2, 0.5, 0.3], [[-3.0], [0.5], [4.0]], [[2.5]])],
+    ids=["mixture", "gaussian", "three_components"])
+def test_cdf_1d_matches_norm_cdf_bit_for_bit(target):
+    # ndtr is the ufunc behind scipy.stats.norm.cdf; at loc 0 and scale 1 the
+    # wrapper adds nothing, non-finite and extreme points included
+    edge = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 5e-324]
+    points = (np.concatenate([np.linspace(-40.0, 40.0, 4001), edge]),
+              np.random.default_rng(3).normal(scale=5.0, size=(1000, 3)),
+              np.float64(0.7))
+    for x in points:
+        z = (np.asarray(x)[..., None] - target.means[:, 0]) / math.sqrt(target.covariance[0, 0])
+        assert np.array_equal(target.cdf_1d(x), norm.cdf(z) @ target.weights,
+                              equal_nan=True)
