@@ -48,12 +48,24 @@ class BoundReport:
         return self.rhs - self.lhs
 
 
-def _standard_normal_density(d: int):
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * np.sum(x * x, axis=-1)) / (2.0 * math.pi) ** (d / 2.0)
-
-    return phi
+def _schrodinger_rhs(target: MixtureTarget, schedule: NoiseSchedule):
+    """The right side of `schrodinger_bound` with its terms and notes; it
+    depends on the target and the schedule only."""
+    m = schedule.bridge(0.0, 1.0).m
+    axis = default_axis(target)
+    phi_grid = grid_from_density(lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1))
+                                 / (2.0 * math.pi) ** (target.d / 2.0), (axis,))
+    p1_grid = grid_from_density(target.marginal_at(schedule, 1.0), (axis,))
+    kl_phi_p1, _ = kl(phi_grid, p1_grid)
+    ex2 = target.second_moment()
+    gauss_term = (m * m + m) / (4.0 * (1.0 - m * m)) * (target.d + ex2)
+    radicand = -0.5 * kl_phi_p1 + gauss_term
+    notes = {}
+    if radicand < 0.0:
+        notes["radicand_negative"] = radicand
+        radicand = 0.0
+    return math.sqrt(radicand), {"kl_phi_p1": kl_phi_p1, "gaussian_term": gauss_term,
+                                 "m": m, "second_moment": ex2}, notes
 
 
 def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
@@ -70,31 +82,14 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
     if target.d != 1:
         raise ValueError("schrodinger_bound: the empirical TV side is implemented "
                          f"for d == 1, got d = {target.d}")
-    m = schedule.bridge(0.0, 1.0).m
-    axis = default_axis(target)
-    phi_grid = grid_from_density(_standard_normal_density(target.d), (axis,))
-    p1_grid = grid_from_density(target.marginal_at(schedule, 1.0), (axis,))
-    kl_phi_p1, _ = kl(phi_grid, p1_grid)
-    ex2 = target.second_moment()
-    gauss_term = (m * m + m) / (4.0 * (1.0 - m * m)) * (target.d + ex2)
-    radicand = -0.5 * kl_phi_p1 + gauss_term
-    notes = {}
-    if radicand < 0.0:
-        notes["radicand_negative"] = radicand
-        radicand = 0.0
-    rhs = math.sqrt(radicand)
+    rhs, terms, notes = _schrodinger_rhs(target, schedule)
     keep = _kept_paths("schrodinger_bound", reverse_batch.diverged)
     terminal = reverse_batch.terminal_states[keep]
     edges = fd_bin_edges(target, terminal.shape[0])
     lhs, se, budget = tv_hist_vs_density(terminal, target, edges)
     verdict = "holds" if lhs <= rhs + 3.0 * se + budget else "violated"
-    return BoundReport(
-        name="schrodinger",
-        rhs=rhs, lhs=lhs, lhs_se=se, bias_budget=budget, verdict=verdict,
-        terms={"kl_phi_p1": kl_phi_p1, "gaussian_term": gauss_term,
-               "m": m, "second_moment": ex2},
-        notes=notes,
-    )
+    return BoundReport(name="schrodinger", rhs=rhs, lhs=lhs, lhs_se=se,
+                       bias_budget=budget, verdict=verdict, terms=terms, notes=notes)
 
 
 def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,

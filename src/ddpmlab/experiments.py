@@ -44,7 +44,7 @@ _KEYS = {
     "tv-pipeline": _TARGET | _SCHEDULE | {"paths", "substeps", "biases", "samples"},
     # sweeps constant-rate schedules only: n comes from n_list
     "bounds-sweep": _TARGET | {"schedule.kind", "schedule.total", "paths",
-                               "substeps", "n_list", "totals"},
+                               "n_list", "totals"},
 }
 
 
@@ -191,6 +191,8 @@ def _run_schedule_audit(cfg, out_dir, summary):
     gamma1 = float(cfg.require("gamma1"))
     gamma2 = float(cfg.require("gamma2"))
     expect = cfg.get("expect", "pass")
+    if expect not in ("pass", "fail"):
+        raise ConfigError(f"expect must be pass or fail, got {expect!r}")
     result = band_check(schedule, gamma1, gamma2)
     rows = [("band_lower_margin", result.worst_lower_index,
              result.lower_margin, 0.0, schedule.n),
@@ -237,6 +239,9 @@ def _run_identity(cfg, out_dir, summary):
 def _run_fbsde(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
+    mode = cfg.get("mode")
+    if mode not in (None, "gaussian", "regression"):
+        raise ConfigError(f"mode must be gaussian or regression, got {mode!r}")
     batch = reverse_sde(target, schedule, substeps, paths, seed)
     t_index = int(cfg.get("t_index", 0))
     both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
@@ -249,7 +254,6 @@ def _run_fbsde(cfg, out_dir, summary):
                            f"rms[{opposite.drift_sign:+d}]={opposite.rms:.6g}")
     summary.check("bsde_sign_separation", opposite.rms >= 10.0 * adjudicated.rms,
                   f"ratio={opposite.rms / max(adjudicated.rms, 1e-300):.3g}")
-    mode = cfg.get("mode")
     y_index = (batch.times.size - 1) // 2
     yast = fbsde_mod.yast_check(target, schedule, batch, y_index, mode=mode)
     yrows = [("yast_rms", y_index, yast.rms, 0.0, yast.paths),
@@ -263,24 +267,27 @@ def _run_fbsde(cfg, out_dir, summary):
                       f"rel={yast.rms_relative:.6g}")
 
 
-def _run_pde(cfg, out_dir, summary):
-    target, schedule = _build_target(cfg), _build_schedule(cfg)
+def _pde_residuals(cfg, target, schedule):
+    """The grid size and pde_residual's (max, rms, max |u|) for each drift
+    sign, at the config's t and grid."""
     t = float(cfg.get("t", 0.3))
     pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
-    rows = []
-    results = {}
-    for sign in (-1, 1):
-        mx, rms, umax = fbsde_mod.pde_residual(target, schedule, t, pts, sign)
-        results[sign] = (mx, rms, umax)
-        rows.append((f"pde_max_sign{sign:+d}", 0, mx, 0.0, pts.shape[0]))
-        rows.append((f"pde_rms_sign{sign:+d}", 0, rms, 0.0, pts.shape[0]))
+    return pts.shape[0], {sign: fbsde_mod.pde_residual(target, schedule, t, pts, sign)
+                          for sign in (-1, 1)}
+
+
+def _run_pde(cfg, out_dir, summary):
+    target, schedule = _build_target(cfg), _build_schedule(cfg)
+    size, res = _pde_residuals(cfg, target, schedule)
+    rows = [(f"pde_{stat}_sign{sign:+d}", 0, res[sign][j], 0.0, size)
+            for sign in (-1, 1) for j, stat in ((0, "max"), (1, "rms"))]
     metrics_mod.write_metric_report(os.path.join(out_dir, "pde_residuals.csv"), rows)
     adj = fbsde_mod.ADJUDICATED_DRIFT_SIGN
-    umax = results[adj][2]
-    summary.report("pde", f"max[{adj:+d}]={results[adj][0]:.3g} "
-                          f"max[{-adj:+d}]={results[-adj][0]:.3g} max|u|={umax:.3g}")
-    summary.check("pde_adjudicated", results[adj][0] <= 1e-5 * umax)
-    summary.check("pde_opposite", results[-adj][0] >= 1e-2 * umax)
+    umax = res[adj][2]
+    summary.report("pde", f"max[{adj:+d}]={res[adj][0]:.3g} "
+                          f"max[{-adj:+d}]={res[-adj][0]:.3g} max|u|={umax:.3g}")
+    summary.check("pde_adjudicated", res[adj][0] <= 1e-5 * umax)
+    summary.check("pde_opposite", res[-adj][0] >= 1e-2 * umax)
 
 
 def _run_sign_adjudication(cfg, out_dir, summary):
@@ -314,16 +321,10 @@ def _run_sign_adjudication(cfg, out_dir, summary):
                   f"ratio={curves[-vanish][-1] / max(curves[vanish][-1], 1e-300):.3g}")
     summary.check("bsde_residual_shrinks", all(f < 1.0 for f in factors),
                   "adjudicated-sign rms decreases under refinement")
-    t = float(cfg.get("t", 0.3))
-    pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
-    pde_rows = []
-    pde = {}
-    for sign in (-1, 1):
-        mx, rms, umax = fbsde_mod.pde_residual(target, schedule, t, pts, sign)
-        pde[sign] = (mx, umax)
-        pde_rows.append((f"pde_max_sign{sign:+d}", 0, mx, 0.0, pts.shape[0]))
-    metrics_mod.write_metric_report(os.path.join(out_dir, "pde_residuals.csv"),
-                                    pde_rows)
+    size, pde = _pde_residuals(cfg, target, schedule)
+    metrics_mod.write_metric_report(
+        os.path.join(out_dir, "pde_residuals.csv"),
+        [(f"pde_max_sign{sign:+d}", 0, pde[sign][0], 0.0, size) for sign in (-1, 1)])
     pde_vanish = -1 if pde[-1][0] < pde[1][0] else 1
     summary.report("pde_vanishing_sign", f"{pde_vanish:+d}")
     summary.check("signs_agree", vanish == pde_vanish,
@@ -383,7 +384,7 @@ def _run_tv_pipeline(cfg, out_dir, summary):
 
 def _run_bounds_sweep(cfg, out_dir, summary):
     target = _build_target(cfg)
-    paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
+    paths, seed = _sizes(cfg, "paths", "seed")
     n_list = cfg.get("n_list", [10, 50, 100, 500])
     n_list = [int(n) for n in (n_list if isinstance(n_list, list) else [n_list])]
     total = float(cfg.get("schedule.total", 4.0))
@@ -422,12 +423,9 @@ def _run_bounds_sweep(cfg, out_dir, summary):
         totals = [float(v) for v in (totals if isinstance(totals, list) else [totals])]
         rhs_values = []
         for tot in sorted(totals):
-            schedule = constant_rate(max(n_list), tot)
-            batch = reverse_sde(target, schedule, substeps, paths, seed,
-                                record="terminal")
-            rep = bounds_mod.schrodinger_bound(target, schedule, batch)
-            rhs_values.append(rep.rhs)
-            summary.report(f"schrodinger_rhs_total{tot:g}", f"{rep.rhs:.6g}")
+            rhs, _, _ = bounds_mod._schrodinger_rhs(target, constant_rate(max(n_list), tot))
+            rhs_values.append(rhs)
+            summary.report(f"schrodinger_rhs_total{tot:g}", f"{rhs:.6g}")
         summary.check("schrodinger_rhs_monotone",
                       all(rhs_values[i + 1] <= rhs_values[i] + 1e-12
                           for i in range(len(rhs_values) - 1)),

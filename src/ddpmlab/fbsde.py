@@ -201,16 +201,20 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     integral on the cubic polynomial basis of X_t, then
     rms of f(t) * prediction - Y_t, relative to rms(Y_t).  Both modes also
     report the tower-property gap mean(f * I) - mean(Y_t) with its SE.
+    mode=None picks the Gaussian oracle for one component, regression else.
     """
     _check_batch(batch)
     times = batch.times
     if not 0 <= t_index < times.size - 1:
         raise ValueError("t_index must leave a nonempty interval [t, 1]")
     t = float(times[t_index])
-    keep = _kept_paths("yast_check", batch.diverged)
-    x_t = batch.states[keep, t_index]
     if mode is None:
         mode = "gaussian" if target.n_components == 1 else "regression"
+    if mode not in ("gaussian", "regression"):
+        raise ValueError(f"yast_check: unknown mode {mode!r}; "
+                         "expected 'gaussian' or 'regression'")
+    keep = _kept_paths("yast_check", batch.diverged)
+    x_t = batch.states[keep, t_index]
     if mode == "gaussian":
         if target.n_components != 1 or not np.allclose(target.covariance,
                                                        np.eye(target.d)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import ScoreModel, _draw_block
+from .simulate import ScoreModel, _check_schedule, _draw_block
 from .target import GaussianMixtureDensity, GrowthConstants, MixtureTarget, default_axis
 
 __all__ = [
@@ -203,6 +203,7 @@ def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_schedule(score_model, schedule)
     n = schedule.n
     x0, z = _forward_pairs(target, samples, seed)
     abars = schedule.alpha_bars
@@ -256,6 +257,7 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
     Antithetic Z pairs cancel the leading 1/sigma noise term, which keeps
     the residual purely Monte Carlo at a usable scale for small 1 - abar_i.
     """
+    _check_schedule(score_model, schedule)
     n = schedule.n
     n_pairs = max(1, samples // 2)
     x0, z = _forward_pairs(target, n_pairs, seed)

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import warnings
 import pytest
 
 import ddpmlab
+from ddpmlab import bounds, experiments, simulate
 from ddpmlab.cli import main
 from ddpmlab.experiments import ConfigError, parse_config, run
 
@@ -94,7 +96,7 @@ IGNORED = [("schedule-audit", key) for key in (
     ("sign-adjudication", "substeps"), ("tv-pipeline", "grid"),
     ("bounds-sweep", "grid"), ("bounds-sweep", "schedule.n"),
     ("bounds-sweep", "schedule.v_start"), ("bounds-sweep", "schedule.v_end"),
-    ("bounds-sweep", "schedule.file")]
+    ("bounds-sweep", "schedule.file"), ("bounds-sweep", "substeps")]
 
 
 @pytest.mark.parametrize("text, key", [
@@ -344,3 +346,147 @@ def test_runs_never_import_scipy_stats(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n"
+
+
+def _count_reverse_sde(monkeypatch):
+    """Wrap every module's reference to reverse_sde; returns the call list."""
+    calls = []
+    original = simulate.reverse_sde
+
+    def counted(*args, **kwargs):
+        calls.append(args[:1])
+        return original(*args, **kwargs)
+
+    for module in (simulate, bounds, experiments):
+        monkeypatch.setattr(module, "reverse_sde", counted)
+    return calls
+
+
+def test_bounds_sweep_totals_read_the_closed_form_rhs(tmp_path, monkeypatch):
+    # the totals check reads only the right side of the bridge bound, which
+    # depends on the target and the schedule: no reverse batch is simulated
+    calls = _count_reverse_sde(monkeypatch)
+    text = ("experiment = bounds-sweep\nn_list = 5,10,20\npaths = 4000\nseed = 13\n"
+            "totals = 4,1,2\n")
+    assert run(parse_config(text), str(tmp_path)) == 0
+    assert calls == []
+    monkeypatch.undo()
+    lines = open(tmp_path / "summary.txt").read().splitlines()
+    reported = [line for line in lines if line.startswith("REPORT schrodinger_rhs_total")]
+    expected = []
+    for total in (1.0, 2.0, 4.0):
+        schedule = ddpmlab.constant_rate(20, total)
+        batch = ddpmlab.reverse_sde(ddpmlab.symmetric_mixture(), schedule, 1, 200,
+                                    seed=13, record="terminal")
+        rhs = ddpmlab.schrodinger_bound(ddpmlab.symmetric_mixture(), schedule, batch).rhs
+        expected.append(f"REPORT schrodinger_rhs_total{total:g}: {rhs:.6g}")
+    assert reported == expected
+    assert "PASS schrodinger_rhs_monotone: rhs nonincreasing in -log alpha_bar_n" in lines
+
+
+def test_bounds_sweep_totals_beyond_what_a_reverse_batch_survives(tmp_path):
+    # an exact reverse batch on 20 steps at total 690 leaves the 1e6 norm
+    # limit on every path; the closed-form right side needs no batch
+    text = ("experiment = bounds-sweep\nn_list = 5,10,20\npaths = 500\n"
+            "totals = 0.01,60,690\n")
+    assert run(parse_config(text), str(tmp_path)) == 0
+    lines = open(tmp_path / "summary.txt").read().splitlines()
+    values = [float(line.rsplit(" ", 1)[1]) for line in lines
+              if line.startswith("REPORT schrodinger_rhs_total")]
+    assert len(values) == 3 and all(math.isfinite(v) and v > 0.0 for v in values)
+    assert "PASS schrodinger_rhs_monotone: rhs nonincreasing in -log alpha_bar_n" in lines
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = schedule-audit\nschedule.n = 1000\ngamma1 = 0.15\ngamma2 = 30.67\n"
+     "expect = Pass\n", "expect must be pass or fail, got 'Pass'"),
+    ("experiment = schedule-audit\nschedule.n = 1000\ngamma1 = 0.15\ngamma2 = 30.67\n"
+     "expect = true\n", "expect must be pass or fail, got True"),
+    ("experiment = fbsde\ntarget.kind = gaussian\nschedule.kind = constant\n"
+     "schedule.n = 4\npaths = 200\nsubsteps = 16\nmode = gausian\n",
+     "mode must be gaussian or regression, got 'gausian'"),
+], ids=["expect_Pass", "expect_true", "mode_gausian"])
+def test_unknown_expect_or_mode_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                          text, message):
+    calls = _count_reverse_sde(monkeypatch)
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
+def test_fbsde_run_in_regression_mode(tmp_path):
+    cfg = write(tmp_path, "fbsde_mix.cfg", """
+experiment = fbsde
+target.kind = mixture
+schedule.kind = constant
+schedule.n = 4
+schedule.total = 4.0
+paths = 10000
+substeps = 32
+seed = 5
+""")
+    out = str(tmp_path / "fbsde")
+    assert main(["run", cfg, "--out", out]) == 0
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert re.search(r"^PASS yast_rel_rms: rel=\S+$", summary, re.M)
+    assert "yast_rms:" not in summary
+    rows = open(os.path.join(out, "yast_report.csv")).read().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["yast_rms", "yast_rel_rms",
+                                                    "yast_tower_gap"]
+    assert all(r.endswith(",10000") for r in rows[1:])
+
+
+def test_plotdata_metric_and_bound_schemas_on_real_outputs(tmp_path):
+    cfg = write(tmp_path, "tv.cfg", """
+experiment = tv-pipeline
+schedule.kind = constant
+schedule.n = 10
+paths = 2000
+samples = 1000
+biases = 0.0,0.5
+seed = 9
+""")
+    out = tmp_path / "tv"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+
+    def csv_rows(name):
+        return [r.split(",") for r in open(out / name).read().splitlines()[1:]]
+
+    def parse(line):
+        key, *numbers = line.split(" ")
+        return (key, *map(float, numbers))
+
+    def dat_lines(name):
+        dat = str(tmp_path / (name + ".dat"))
+        assert main(["plotdata", str(out / name), "--out", dat]) == 0
+        return open(dat).read().splitlines()
+
+    metric = csv_rows("tv_report.csv")
+    assert [r[0] for r in metric] == ["ddpm_tv_bias0", "score_loss_bias0",
+                                      "ddpm_tv_bias0.5", "score_loss_bias0.5"]
+    # every row as (i_or_t, value, std_err), the numbers exact at 17 digits
+    assert [parse(line) for line in dat_lines("tv_report.csv")] == [
+        (r[1], float(r[2]), float(r[3])) for r in metric]
+
+    totals = [r for r in csv_rows("bounds.csv") if r[1] == "total"]
+    assert [r[0] for r in totals] == ["girsanov_bias0", "girsanov_bias0.5", "schrodinger"]
+    lines = dat_lines("bounds.csv")
+    k = len(totals)
+    assert lines[0] == "# rhs" and lines[k + 1:k + 3] == ["", "# empirical lhs with std err"]
+    assert [parse(line) for line in lines[1:k + 1]] == [
+        (str(i), float(r[2])) for i, r in enumerate(totals)]
+    assert [parse(line) for line in lines[k + 3:]] == [
+        (str(i), float(r[3]), float(r[4])) for i, r in enumerate(totals)]
+
+
+def test_io_failures_exit_3(tmp_path, capsys):
+    blocker = write(tmp_path, "plain_file", "not a directory\n")
+    cfg = write(tmp_path, "audit.cfg", "experiment = schedule-audit\nschedule.n = 1000\n"
+                                       "gamma1 = 0.15\ngamma2 = 30.67\n")
+    assert main(["run", cfg, "--out", os.path.join(blocker, "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: I/O failure: ")
+    report = write(tmp_path, "res.csv", "t_index,t,sign,rms,max,paths,substeps\n"
+                                        "0,0,-1,0.5,1.0,10,16\n")
+    assert main(["plotdata", report, "--out", os.path.join(blocker, "res.dat")]) == 3
+    assert capsys.readouterr().err.startswith("error: I/O failure: ")

@@ -1,11 +1,12 @@
 import math
+import re
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, bsde_processes,
+from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, _poly_basis, bsde_processes,
                            bsde_residual, bsde_residual_both, f_weight,
                            g_weight, h_martingale_check, pde_residual,
                            yast_check, z_energy)
@@ -293,3 +294,20 @@ def test_input_guards_raise_their_message(name):
     call, message = GUARDS[name]
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("mode", ["gausian", "Gaussian", "", 1])
+def test_yast_check_rejects_an_unknown_mode(mode):
+    batch = reverse_sde(GAUSS, SCHED, 2, 50, seed=12)
+    with pytest.raises(ValueError, match=rf"^yast_check: unknown mode {re.escape(repr(mode))}"):
+        yast_check(GAUSS, SCHED, batch, 3, mode=mode)
+
+
+def test_poly_basis_two_dimensional_monomials():
+    x = np.random.default_rng(3).normal(size=(50, 2))
+    a, b = x[:, 0], x[:, 1]
+    expected = np.column_stack([np.ones(50), a, b, a * a, a * b, b * b,
+                                a * a * a, a * a * b, a * b * b, b * b * b])
+    basis = _poly_basis(x)
+    assert basis.shape == (50, 10)
+    assert np.array_equal(basis, expected)

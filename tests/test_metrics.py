@@ -232,3 +232,20 @@ def test_metric_report_rejects_nan(tmp_path):
     write_metric_report(tmp_path / "m.csv", [("x", 0, 1.5, 0.1, 10)])
     assert (tmp_path / "m.csv").read_text().splitlines()[0] == \
         "name,i_or_t,value,std_err,samples"
+
+
+@pytest.mark.parametrize("model_schedule, schedule, message", [
+    # same step count, different alphas: an exact model would score 0.155
+    (constant_rate(10, 2.0), constant_rate(10, 4.0),
+     "10-step schedule that differs from the 10-step schedule"),
+    # a longer schedule than the model's would reach past its last step
+    (constant_rate(10, 2.0), constant_rate(12, 2.0),
+     "10-step schedule that differs from the 12-step schedule"),
+], ids=["same_n", "longer"])
+def test_loss_and_identity_reject_a_model_on_another_schedule(model_schedule, schedule,
+                                                              message):
+    model = ScoreModel(MIX, model_schedule, mode="exact")
+    with pytest.raises(ValueError, match=message):
+        score_loss(MIX, schedule, model, 200, seed=1)
+    with pytest.raises(ValueError, match=message):
+        denoise_identity_check(MIX, schedule, model, 200, seed=1)
