@@ -10,26 +10,11 @@ Modules:
     experiments, cli   reproducible config-driven runs
 """
 
-from .schedule import (BandCheckResult, BridgeCoefficients, NoiseSchedule,
-                       band_check, constant_rate, from_linear_variance,
-                       load_schedule, save_schedule)
-from .target import (GaussianMixtureDensity, GrowthConstants, MarginalLaw,
-                     MixtureTarget, default_axis, fokker_planck_residual,
-                     gaussian_target, growth_constants, load_target, save_target,
-                     symmetric_mixture)
-from .simulate import (ScoreModel, TrajectoryBatch, ddpm_sample,
-                       forward_chain, growth_clip, path_generator, reverse_sde,
-                       reverse_transition_density, save_trajectories)
-from .fbsde import (ADJUDICATED_DRIFT_SIGN, BsdeProcesses, ResidualStats,
-                    YastReport, bsde_processes, bsde_residual,
-                    bsde_residual_both, f_weight, g_weight,
-                    h_martingale_check, pde_residual, yast_check, z_energy)
-from .metrics import (DensityGrid, denoise_identity_check, fd_bin_edges,
-                      grid_from_density, kl, score_growth_audit, score_loss,
-                      tv, tv_hist_two_samples, tv_hist_vs_density,
-                      write_metric_report)
-from .bounds import (BoundReport, banded_schedule_terms, girsanov_bound,
-                     moment_report, schrodinger_bound, tv_bound_terms,
-                     write_bound_reports)
+from .schedule import *  # noqa: F401,F403
+from .target import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .fbsde import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -43,10 +43,6 @@ class BoundReport:
     terms: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
 
 def _schrodinger_rhs(target: MixtureTarget, schedule: NoiseSchedule):
     """The right side of `schrodinger_bound` with its terms and notes; it

@@ -26,25 +26,26 @@ from .target import (MixtureTarget, default_axis, gaussian_target,
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "plotdata"]
 
-EXPERIMENTS = ("identity", "fbsde", "pde", "sign-adjudication",
-               "tv-pipeline", "schedule-audit", "bounds-sweep")
-
-# The keys each runner reads; every run also takes experiment, seed and out.
-_TARGET = {"target.kind", "target.mean", "target.variance", "target.separation",
-           "target.weight", "target.file"}
-_SCHEDULE = {"schedule.kind", "schedule.n", "schedule.v_start", "schedule.v_end",
-             "schedule.total", "schedule.file"}
+# The keys each kind of target and schedule reads; the first kind is the default.
+_TARGETS = {"mixture": {"target.separation", "target.weight"},
+            "gaussian": {"target.mean", "target.variance"},
+            "file": {"target.file"}}
+_SCHEDULES = {"linear": {"schedule.n", "schedule.v_start", "schedule.v_end"},
+              "constant": {"schedule.n", "schedule.total"},
+              "file": {"schedule.file"}}
+_BOTH = {"target": _TARGETS, "schedule": _SCHEDULES}
+# Each runner's own keys and the kinds of target and schedule it builds; every
+# run also takes experiment, seed and out.
 _KEYS = {
-    "schedule-audit": _SCHEDULE | {"gamma1", "gamma2", "expect"},
-    "identity": _TARGET | _SCHEDULE | {"bias", "samples", "rel_tol"},
-    "fbsde": _TARGET | _SCHEDULE | {"paths", "substeps", "t_index", "mode"},
-    "pde": _TARGET | _SCHEDULE | {"t", "grid"},
-    "sign-adjudication": _TARGET | _SCHEDULE | {"paths", "substeps_list",
-                                                "t_index", "t", "grid"},
-    "tv-pipeline": _TARGET | _SCHEDULE | {"paths", "substeps", "biases", "samples"},
+    "schedule-audit": ({"gamma1", "gamma2", "expect"}, {"schedule": _SCHEDULES}),
+    "identity": ({"bias", "samples", "rel_tol"}, _BOTH),
+    "fbsde": ({"paths", "substeps", "t_index", "mode"}, _BOTH),
+    "pde": ({"t", "grid"}, _BOTH),
+    "sign-adjudication": ({"paths", "substeps_list", "t_index", "t", "grid"}, _BOTH),
+    "tv-pipeline": ({"paths", "substeps", "biases", "samples"}, _BOTH),
     # sweeps constant-rate schedules only: n comes from n_list
-    "bounds-sweep": _TARGET | {"schedule.kind", "schedule.total", "paths",
-                               "n_list", "totals"},
+    "bounds-sweep": ({"paths", "n_list", "totals"},
+                     {"target": _TARGETS, "schedule": {"constant": {"schedule.total"}}}),
 }
 
 
@@ -99,13 +100,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
     experiment = values["experiment"]
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in _KEYS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    unknown = sorted(set(values) - {"experiment", "seed", "out"} - _KEYS[experiment])
+    own, tables = _KEYS[experiment]
+    allowed = own | {"experiment", "seed", "out"}
+    kinds = {family: values.get(f"{family}.kind", next(iter(table)))
+             for family, table in tables.items()}
+    for family, kind in kinds.items():
+        if not isinstance(kind, str) or kind not in tables[family]:
+            raise ConfigError(f"{family}.kind must be {' or '.join(tables[family])}, "
+                              f"got {kind!r}")
+        allowed |= {f"{family}.kind"} | tables[family][kind]
+    unknown = sorted(set(values) - allowed)
+    for key in unknown:
+        family = key.partition(".")[0]
+        if family in kinds:
+            raise ConfigError(f"{key} is not read under {family}.kind = {kinds[family]}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if experiment == "bounds-sweep" and values.get("schedule.kind", "constant") != "constant":
-        raise ConfigError("bounds-sweep takes only schedule.kind = constant")
     return ExperimentConfig(experiment=experiment, values=values)
 
 
@@ -118,10 +130,8 @@ def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         var = float(cfg.get("target.variance", 1.0))
         return gaussian_target(mean, np.eye(mean.size) / var)
-    if kind == "mixture":
-        return symmetric_mixture(separation=float(cfg.get("target.separation", 2.0)),
-                                 weight=float(cfg.get("target.weight", 0.5)))
-    raise ConfigError(f"unknown target.kind {kind!r}")
+    return symmetric_mixture(separation=float(cfg.get("target.separation", 2.0)),
+                             weight=float(cfg.get("target.weight", 0.5)))
 
 
 def _build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
@@ -129,12 +139,10 @@ def _build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
     if kind == "file":
         return load_schedule(cfg.require("schedule.file"))
     n = int(cfg.get("schedule.n", 100))
-    if kind == "linear":
-        return from_linear_variance(n, float(cfg.get("schedule.v_start", 1e-4)),
-                                    float(cfg.get("schedule.v_end", 0.02)))
     if kind == "constant":
         return constant_rate(n, float(cfg.get("schedule.total", 4.0)))
-    raise ConfigError(f"unknown schedule.kind {kind!r}")
+    return from_linear_variance(n, float(cfg.get("schedule.v_start", 1e-4)),
+                                float(cfg.get("schedule.v_end", 0.02)))
 
 
 class Summary:
@@ -295,6 +303,8 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     paths, seed = _sizes(cfg, "paths", "seed")
     subs = cfg.get("substeps_list", [128, 256, 512, 1024])
     subs = [int(s) for s in (subs if isinstance(subs, list) else [subs])]
+    if len(subs) < 2:
+        raise ConfigError("substeps_list needs at least two entries to check refinement")
     t_index = int(cfg.get("t_index", 0))
     rows = []
     curves = {-1: [], 1: []}
@@ -387,6 +397,8 @@ def _run_bounds_sweep(cfg, out_dir, summary):
     paths, seed = _sizes(cfg, "paths", "seed")
     n_list = cfg.get("n_list", [10, 50, 100, 500])
     n_list = [int(n) for n in (n_list if isinstance(n_list, list) else [n_list])]
+    if len(n_list) < 2:
+        raise ConfigError("n_list needs at least two entries for the rank correlation")
     total = float(cfg.get("schedule.total", 4.0))
     envelope = target.growth_constants()
     edges = metrics_mod.fd_bin_edges(target, paths)

@@ -132,8 +132,9 @@ class ScoreModel:
 
     Modes:
       exact      s_i is the true marginal score.
-      perturbed  s_i = true + bias + amplitude * sin(omega x + phase_i).
-      clipped    wraps another model, enforcing |s_i| <= B_i (see growth_clip).
+      perturbed  s_i = true + bias + amplitude * sin(omega x + phase_i); the
+                 one mode that takes bias and noise_amplitude.
+      clipped    wraps another model, enforcing |s_i| <= B_i; built by growth_clip.
       zero       z_i = s_i = 0 (degenerate denoiser, useful as an OU oracle).
     """
 
@@ -142,6 +143,11 @@ class ScoreModel:
                  _clip=None):
         if mode not in ("exact", "perturbed", "clipped", "zero"):
             raise ValueError(f"unknown score model mode {mode!r}")
+        if mode != "perturbed" and (bias is not None or noise_amplitude != 0.0):
+            raise ValueError("bias and noise_amplitude apply to mode 'perturbed', "
+                             f"not {mode!r}")
+        if (mode == "clipped") != (_clip is not None):
+            raise ValueError("mode 'clipped' is built by growth_clip only")
         self.target = target
         self.schedule = schedule
         self.mode = mode

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -120,6 +121,68 @@ def test_config_errors_exit_2(tmp_path, capsys, text, message):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# each key is read only under the target or schedule kind it belongs to, and
+# the kind itself must be one the run builds
+@pytest.mark.parametrize("text, message", [
+    ("experiment = pde\ntarget.mean = 1.5\n",
+     "target.mean is not read under target.kind = mixture"),
+    ("experiment = identity\ntarget.variance = 4\n",
+     "target.variance is not read under target.kind = mixture"),
+    ("experiment = fbsde\ntarget.kind = gaussian\ntarget.separation = 3\n",
+     "target.separation is not read under target.kind = gaussian"),
+    ("experiment = pde\ntarget.kind = file\ntarget.file = t.txt\ntarget.variance = 4\n",
+     "target.variance is not read under target.kind = file"),
+    ("experiment = tv-pipeline\nschedule.kind = constant\nschedule.v_start = 1e-3\n",
+     "schedule.v_start is not read under schedule.kind = constant"),
+    ("experiment = schedule-audit\nschedule.total = 2\ngamma1 = 0.15\ngamma2 = 30.67\n",
+     "schedule.total is not read under schedule.kind = linear"),
+    ("experiment = sign-adjudication\nschedule.kind = file\nschedule.file = s.txt\n"
+     "schedule.n = 8\n", "schedule.n is not read under schedule.kind = file"),
+    ("experiment = identity\nschedule.kind = cosine\n",
+     "schedule.kind must be linear or constant or file, got 'cosine'"),
+    ("experiment = pde\ntarget.kind = gaussian,file\n",
+     "target.kind must be mixture or gaussian or file, got ['gaussian', 'file']"),
+    ("experiment = bounds-sweep\nschedule.kind = linear\n",
+     "schedule.kind must be constant, got 'linear'"),
+], ids=["mean_under_mixture", "variance_under_mixture", "separation_under_gaussian",
+        "variance_under_file", "v_start_under_constant", "total_under_linear",
+        "n_under_file", "unknown_schedule_kind", "list_target_kind",
+        "sweep_linear_schedule"])
+def test_keys_and_kinds_a_run_does_not_read_exit_2(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = bounds-sweep\nn_list = 10\npaths = 500\n",
+     "n_list needs at least two entries for the rank correlation"),
+    ("experiment = sign-adjudication\ntarget.kind = gaussian\nschedule.kind = constant\n"
+     "schedule.n = 4\npaths = 20\nsubsteps_list = 16\n",
+     "substeps_list needs at least two entries to check refinement"),
+], ids=["bounds_sweep", "sign_adjudication"])
+def test_sweeps_of_one_point_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                       text, message):
+    for name in ("ddpm_sample", "reverse_sde"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, **kwargs: pytest.fail("simulated"))
+    cfg = write(tmp_path, "one.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_package_exports_each_modules_all():
+    modules = (ddpmlab.schedule, ddpmlab.target, ddpmlab.simulate, ddpmlab.fbsde,
+               ddpmlab.metrics, ddpmlab.bounds)
+    exported = [name for name in dir(ddpmlab) if not name.startswith("_")
+                and not inspect.ismodule(getattr(ddpmlab, name))]
+    assert sorted(exported) == sorted(name for m in modules for name in m.__all__)
 
 
 def test_identity_run_byte_identical(tmp_path):
@@ -304,7 +367,7 @@ seed = 3
      "schedule.total = 4\npaths = 50\nsamples = 50\nbiases = 1e7\n",
      r"tv-pipeline ddpm_sample at bias 1e\+07"),
     # sigma_n ~ 1e15 at alpha_bar_n ~ 2e-300 does the same with the exact score
-    ("experiment = bounds-sweep\nschedule.total = 690\nn_list = 10\npaths = 50\n",
+    ("experiment = bounds-sweep\nschedule.total = 690\nn_list = 10,20\npaths = 50\n",
      "bounds-sweep ddpm_sample at n = 10"),
 ])
 def test_experiments_refuse_an_all_diverged_batch(tmp_path, text, name):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ddpmlab.simulate import (ScoreModel, _draw_block, ddpm_sample, forward_chai
                               growth_clip, path_generator, reverse_sde,
                               reverse_transition_density, save_trajectories)
 from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
-                            growth_constants, symmetric_mixture)
+                            growth_constants, load_target, symmetric_mixture)
 
 MIX = symmetric_mixture()
 SCHED = constant_rate(20, 4.0)
@@ -69,6 +70,37 @@ def test_ddpm_equals_exponential_integrator_pathwise():
     rev = reverse_sde(model, SCHED, 1, 200, seed=5, score_mode="model")
     # ddpm column j holds x*_{n-j}, matching the reverse grid directly
     assert np.abs(dd.states - rev.states).max() <= 1e-12
+
+
+def _separation(target):
+    """The largest Mahalanobis distance between component means under Q."""
+    diffs = target.means[:, None, :] - target.means[None, :, :]
+    return math.sqrt(np.einsum("jki,il,jkl->jk", diffs, target.q, diffs).max())
+
+
+BENCH_FIXTURE = load_target(os.path.join(os.path.dirname(__file__), os.pardir,
+                                         "bench", "pathwise_3d_target.txt"))
+SEPARATED = [(f"sep{a:g}", symmetric_mixture(separation=a))
+             for a in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)] + [
+    (f"fixture_means_x{c}", MixtureTarget(BENCH_FIXTURE.weights,
+                                          c * BENCH_FIXTURE.means, BENCH_FIXTURE.q))
+    for c in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("target", [t for _, t in SEPARATED],
+                         ids=[name for name, _ in SEPARATED])
+def test_ddpm_matches_model_mode_reverse_within_separation_tolerance(target):
+    # the two samplers run one recursion in two arithmetic orders.  A rounding
+    # difference grows while a path moves between components, where the score
+    # Jacobian gains a between-component part of at most D^2/4 (D from
+    # _separation), so the bound scales with D^2 and with the state scale
+    sched = from_linear_variance(100, 1e-4, 0.05)
+    model = ScoreModel(target, sched, mode="exact")
+    dd = ddpm_sample(model, sched, 2000, seed=3)
+    rev = reverse_sde(model, sched, 1, 2000, seed=3, score_mode="model")
+    assert not (dd.diverged.any() or rev.diverged.any())
+    tol = 64.0 * max(1.0, _separation(target)) ** 2 * np.finfo(float).eps
+    assert np.abs(dd.states - rev.states).max() <= tol * np.abs(dd.states).max()
 
 
 def test_ddpm_final_noise_flag():
@@ -374,6 +406,24 @@ def test_score_model_modes_and_clip():
     err_clip = np.abs(fixed.s_step(7, x) - law.score(x))
     err_raw = np.abs(wild.s_step(7, x) - law.score(x))
     assert np.all(err_clip <= err_raw + 1e-12)
+
+
+@pytest.mark.parametrize("setting", [{"bias": 0.3}, {"noise_amplitude": 0.5}],
+                         ids=["bias", "noise_amplitude"])
+@pytest.mark.parametrize("mode", ["exact", "zero", "clipped"])
+def test_score_model_takes_bias_and_amplitude_in_perturbed_mode_only(mode, setting):
+    clip = (ScoreModel(MIX, SCHED), growth_constants(MIX), "oracle")
+    with pytest.raises(ValueError, match=f"bias and noise_amplitude apply to mode "
+                                         f"'perturbed', not '{mode}'"):
+        ScoreModel(MIX, SCHED, mode=mode, _clip=clip if mode == "clipped" else None,
+                   **setting)
+
+
+def test_clipped_score_model_comes_from_growth_clip():
+    clip = (ScoreModel(MIX, SCHED), growth_constants(MIX), "oracle")
+    for mode, args in (("clipped", None), ("exact", clip)):
+        with pytest.raises(ValueError, match="mode 'clipped' is built by growth_clip"):
+            ScoreModel(MIX, SCHED, mode=mode, _clip=args)
 
 
 def test_reverse_transition_density_properties():
