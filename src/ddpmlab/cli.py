@@ -1,12 +1,11 @@
 """Command-line entry point.
 
-    ddpmlab run <config-path> [--seed N] [--out DIR] [--threads N]
+    ddpmlab run <config-path> [--seed N] [--out DIR]
     ddpmlab plotdata <report> --out FILE
 
 Exit status: 0 all assertions pass, 1 assertion failures, 2 config/parse
-errors, 3 I/O failures.  --threads is accepted for interface stability; the
-per-path noise-stream contract makes results identical at any worker count,
-and the reference implementation evaluates path chunks sequentially.
+errors (a value the library rejects while a run builds its inputs included),
+3 I/O failures.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_plot = sub.add_parser("plotdata", help="emit gnuplot columns from a report")
     p_plot.add_argument("report")
     p_plot.add_argument("--out", required=True)

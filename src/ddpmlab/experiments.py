@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,8 @@ from . import fbsde as fbsde_mod
 from . import metrics as metrics_mod
 from .schedule import (NoiseSchedule, band_check, constant_rate,
                        from_linear_variance, load_schedule)
-from .simulate import ScoreModel, _kept_paths, ddpm_sample, reverse_sde
+from .simulate import (ScoreModel, _kept_paths, _shared_noise, ddpm_sample,
+                       reverse_sde)
 from .target import (MixtureTarget, default_axis, gaussian_target,
                      load_target, symmetric_mixture)
 
@@ -51,6 +53,18 @@ _KEYS = {
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _as_config_error():
+    """Report a library ValueError raised while a run builds its inputs as a
+    config error; one raised by a simulation stays a failure of the run."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -121,6 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, values=values)
 
 
+@_as_config_error()
 def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
     kind = cfg.get("target.kind", "mixture")
     if kind == "file":
@@ -134,6 +149,7 @@ def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
                              weight=float(cfg.get("target.weight", 0.5)))
 
 
+@_as_config_error()
 def _build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
     kind = cfg.get("schedule.kind", "linear")
     if kind == "file":
@@ -201,7 +217,8 @@ def _run_schedule_audit(cfg, out_dir, summary):
     expect = cfg.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass or fail, got {expect!r}")
-    result = band_check(schedule, gamma1, gamma2)
+    with _as_config_error():
+        result = band_check(schedule, gamma1, gamma2)
     rows = [("band_lower_margin", result.worst_lower_index,
              result.lower_margin, 0.0, schedule.n),
             ("band_upper_margin", result.worst_upper_index,
@@ -275,6 +292,7 @@ def _run_fbsde(cfg, out_dir, summary):
                       f"rel={yast.rms_relative:.6g}")
 
 
+@_as_config_error()
 def _pde_residuals(cfg, target, schedule):
     """The grid size and pde_residual's (max, rms, max |u|) for each drift
     sign, at the config's t and grid."""
@@ -306,6 +324,7 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     if len(subs) < 2:
         raise ConfigError("substeps_list needs at least two entries to check refinement")
     t_index = int(cfg.get("t_index", 0))
+    size, pde = _pde_residuals(cfg, target, schedule)
     rows = []
     curves = {-1: [], 1: []}
     for s_count in subs:
@@ -331,7 +350,6 @@ def _run_sign_adjudication(cfg, out_dir, summary):
                   f"ratio={curves[-vanish][-1] / max(curves[vanish][-1], 1e-300):.3g}")
     summary.check("bsde_residual_shrinks", all(f < 1.0 for f in factors),
                   "adjudicated-sign rms decreases under refinement")
-    size, pde = _pde_residuals(cfg, target, schedule)
     metrics_mod.write_metric_report(
         os.path.join(out_dir, "pde_residuals.csv"),
         [(f"pde_max_sign{sign:+d}", 0, pde[sign][0], 0.0, size) for sign in (-1, 1)])
@@ -351,6 +369,9 @@ def _run_tv_pipeline(cfg, out_dir, summary):
     biases = [float(b) for b in (biases if isinstance(biases, list) else [biases])]
     samples = int(cfg.get("samples", 20000))
     edges = metrics_mod.fd_bin_edges(target, paths)
+    # drawn first, its noise block is the longest; every later batch is a prefix
+    exact_batch = reverse_sde(target, schedule, substeps, paths, seed,
+                              record="terminal")
     reports = []
     tv_rows = []
     tvs, losses = [], []
@@ -372,8 +393,6 @@ def _run_tv_pipeline(cfg, out_dir, summary):
         reports.append(gb)
         summary.check(f"girsanov_holds_bias{b:g}", gb.verdict == "holds",
                       f"lhs={gb.lhs:.6g} rhs={gb.rhs:.6g}")
-    exact_batch = reverse_sde(target, schedule, substeps, paths, seed,
-                              record="terminal")
     sb = bounds_mod.schrodinger_bound(target, schedule, exact_batch)
     reports.append(sb)
     summary.check("schrodinger_holds", sb.verdict == "holds",
@@ -400,12 +419,17 @@ def _run_bounds_sweep(cfg, out_dir, summary):
     if len(n_list) < 2:
         raise ConfigError("n_list needs at least two entries for the rank correlation")
     total = float(cfg.get("schedule.total", 4.0))
+    totals = cfg.get("totals")
+    totals = sorted(float(v) for v in (totals if isinstance(totals, list)
+                                       else [totals])) if totals else []
+    with _as_config_error():
+        schedules = [constant_rate(n, total) for n in n_list]
+        rhs_schedules = [constant_rate(max(n_list), tot) for tot in totals]
     envelope = target.growth_constants()
     edges = metrics_mod.fd_bin_edges(target, paths)
     rows = []
     tvs, composites = [], []
-    for n in n_list:
-        schedule = constant_rate(n, total)
+    for n, schedule in zip(n_list, schedules):
         model = ScoreModel(target, schedule, mode="exact")
         batch = ddpm_sample(model, schedule, paths, seed, record="terminal")
         keep = _kept_paths(f"bounds-sweep ddpm_sample at n = {n}", batch.diverged)
@@ -430,12 +454,10 @@ def _run_bounds_sweep(cfg, out_dir, summary):
     rho = float(spearmanr([-c for c in composites], [-t for t, _ in tvs]).statistic)
     summary.report("rank_correlation_composite_vs_tv", f"{rho:.4f}")
     summary.check("rank_correlation", rho >= 0.9, f"rho={rho:.4f}")
-    totals = cfg.get("totals")
     if totals:
-        totals = [float(v) for v in (totals if isinstance(totals, list) else [totals])]
         rhs_values = []
-        for tot in sorted(totals):
-            rhs, _, _ = bounds_mod._schrodinger_rhs(target, constant_rate(max(n_list), tot))
+        for tot, rhs_schedule in zip(totals, rhs_schedules):
+            rhs, _, _ = bounds_mod._schrodinger_rhs(target, rhs_schedule)
             rhs_values.append(rhs)
             summary.report(f"schrodinger_rhs_total{tot:g}", f"{rhs:.6g}")
         summary.check("schrodinger_rhs_monotone",
@@ -456,13 +478,15 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Execute a parsed config; returns the process exit status (0/1)."""
+    """Execute a parsed config; returns the process exit status (0/1).  The
+    run's batches share their noise blocks (`simulate._shared_noise`)."""
     out_dir = out_dir or cfg.get("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     cfg.values["out"] = out_dir
     _echo_config(cfg, out_dir)
     summary = Summary()
-    _RUNNERS[cfg.experiment](cfg, out_dir, summary)
+    with _shared_noise():
+        _RUNNERS[cfg.experiment](cfg, out_dir, summary)
     summary.write(os.path.join(out_dir, "summary.txt"))
     return 1 if summary.failed else 0
 

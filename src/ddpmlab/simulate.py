@@ -8,11 +8,20 @@ of how paths are chunked or scheduled.  Philox is counter-based, so a
 stream is fixed by its key and counter alone: each chunk builds one
 generator and re-keys it per path (`_draw_block`), which reproduces a
 freshly built per-path generator exactly.
+
+The same key and counter also make every stream a prefix of any longer one:
+the first k normal rows of a path do not depend on how many rows follow, so
+a 101-step block is exactly the first 101 rows of the 201-step block of the
+same paths.  Within `_shared_noise` (entered once per `experiments.run`),
+`_draw_block` draws each path range once and serves later requests for it
+as read-only prefixes; outside it every call draws afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,11 +75,10 @@ def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
     return size
 
 
-def _draw_block(seed, start, count, steps, d, with_uniform=False):
-    """Per-path draws for paths [start, start+count): normals (count, steps, d)
-    and optionally one leading uniform per path.  One generator per chunk:
-    assigning its fresh state keyed (seed, start + j) resets the counter and
-    buffer, so path j draws exactly what path_generator(seed, start + j) would."""
+def _fresh_block(seed, start, count, steps, d, with_uniform):
+    """One generator per chunk: assigning its fresh state keyed (seed, start + j)
+    resets the counter and buffer, so path j draws exactly what
+    path_generator(seed, start + j) would."""
     normals = np.empty((count, steps, d))
     uniforms = np.empty(count) if with_uniform else None
     gen = path_generator(seed, start)
@@ -81,6 +89,51 @@ def _draw_block(seed, start, count, steps, d, with_uniform=False):
         if with_uniform:
             uniforms[j] = gen.random()
         gen.standard_normal(out=normals[j])
+    return uniforms, normals
+
+
+# blocks drawn in the current run: (seed, start, count, d, with_uniform) ->
+# (uniforms, normals), oldest first; None outside _shared_noise
+_blocks: ContextVar[dict | None] = ContextVar("ddpmlab_noise_blocks", default=None)
+
+
+@contextmanager
+def _shared_noise():
+    """Let `_draw_block` serve each path range from one draw until exit."""
+    token = _blocks.set({})
+    try:
+        yield
+    finally:
+        _blocks.reset(token)
+
+
+def _draw_block(seed, start, count, steps, d, with_uniform=False):
+    """Per-path draws for paths [start, start+count): normals (count, steps, d)
+    and optionally one leading uniform per path, drawn by `_fresh_block`.
+
+    Within `_shared_noise` the blocks are memoised by (seed, start, count, d,
+    with_uniform) and served read-only: a request no longer than the block
+    held gets its first `steps` rows, and a longer one drops the held block
+    before drawing its own.  The memo holds at most _CHUNK_BUDGET floats,
+    dropping its oldest blocks to make room; a larger block is not kept."""
+    memo = _blocks.get()
+    if memo is None:
+        return _fresh_block(seed, start, count, steps, d, with_uniform)
+    key = (seed, start, count, d, with_uniform)
+    if key in memo and memo[key][1].shape[1] >= steps:
+        uniforms, normals = memo[key]
+        return uniforms, normals[:, :steps]
+    memo.pop(key, None)
+    size = count * (steps * d + with_uniform)
+    while memo and size + sum(z.size + (0 if u is None else u.size)
+                              for u, z in memo.values()) > _CHUNK_BUDGET:
+        del memo[next(iter(memo))]
+    uniforms, normals = _fresh_block(seed, start, count, steps, d, with_uniform)
+    if size <= _CHUNK_BUDGET:
+        for block in (uniforms, normals):
+            if block is not None:
+                block.flags.writeable = False
+        memo[key] = (uniforms, normals)
     return uniforms, normals
 
 

@@ -286,25 +286,36 @@ def test_acceptance_11_reverse_transition_density():
     assert elapsed < 60.0
 
 
-def test_acceptance_12_determinism(tmp_path):
-    cfg_path = tmp_path / "ident.cfg"
+def test_acceptance_12_determinism(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "tv.cfg"
     cfg_path.write_text("""
-experiment = identity
+experiment = tv-pipeline
 target.kind = mixture
-schedule.kind = linear
+schedule.kind = constant
 schedule.n = 20
-schedule.v_start = 1e-3
-schedule.v_end = 0.05
-samples = 4000
-bias = 1.0
-rel_tol = 0.1
-seed = 7
+schedule.total = 4.0
+paths = 4000
+substeps = 2
+samples = 2000
+biases = 0.0,0.5
+seed = 9
 """)
+    # the default chunk budget runs every batch in one chunk and shares its
+    # noise block across batches; 1e5 floats splits the exact-score batches
+    starts = set()
+    draw = dl.simulate._draw_block
+
+    def recorded(seed, start, *args, **kwargs):
+        starts.add(start)
+        return draw(seed, start, *args, **kwargs)
+
+    monkeypatch.setattr(dl.simulate, "_draw_block", recorded)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    assert cli_main(["run", str(cfg_path), "--out", out1, "--threads", "1"]) == 0
-    assert cli_main(["run", str(cfg_path), "--out", out2, "--threads", "8"]) == 0
-    identical = True
-    for name in ("identity_report.csv", "loss_report.csv", "summary.txt"):
+    assert cli_main(["run", str(cfg_path), "--out", out1]) == 0
+    monkeypatch.setattr(dl.simulate, "_CHUNK_BUDGET", 100_000)
+    assert cli_main(["run", str(cfg_path), "--out", out2]) == 0
+    identical = len(starts) >= 2
+    for name in ("bounds.csv", "tv_report.csv", "summary.txt"):
         with open(os.path.join(out1, name), "rb") as f1, \
                 open(os.path.join(out2, name), "rb") as f2:
             identical &= f1.read() == f2.read()
@@ -312,6 +323,6 @@ seed = 7
     a = dl.ddpm_sample(model, dl.constant_rate(10, 2.0), 500, seed=3)
     b = dl.ddpm_sample(model, dl.constant_rate(10, 2.0), 500, seed=3, chunk=11)
     identical &= bool(np.array_equal(a.states, b.states))
-    _report(12, identical, "byte-identical CSVs across thread counts and "
+    _report(12, identical, "byte-identical CSVs across chunk budgets and "
                            "chunk-invariant sampler output")
     assert identical

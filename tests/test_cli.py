@@ -185,26 +185,110 @@ def test_package_exports_each_modules_all():
     assert sorted(exported) == sorted(name for m in modules for name in m.__all__)
 
 
-def test_identity_run_byte_identical(tmp_path):
-    cfg = write(tmp_path, "ident.cfg", """
-experiment = identity
+TV_CHUNKED = """
+experiment = tv-pipeline
 target.kind = mixture
-schedule.kind = linear
+schedule.kind = constant
 schedule.n = 20
-schedule.v_start = 1e-3
-schedule.v_end = 0.05
-samples = 4000
-bias = 1.0
-rel_tol = 0.1
-seed = 7
-""")
+schedule.total = 4.0
+paths = 4000
+substeps = 2
+samples = 2000
+biases = 0.0,0.5
+seed = 9
+"""
+
+
+def _record_noise(monkeypatch):
+    """Count the generators every draw builds and record the first path of
+    each sampler chunk: returns (generators, chunk starts)."""
+    built, starts = [], set()
+    make, draw = simulate.path_generator, simulate._draw_block
+
+    def counted(seed, path_index):
+        built.append(path_index)
+        return make(seed, path_index)
+
+    def recorded(seed, start, *args, **kwargs):
+        starts.add(start)
+        return draw(seed, start, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "path_generator", counted)
+    monkeypatch.setattr(simulate, "_draw_block", recorded)
+    return built, starts
+
+
+def test_identity_run_byte_identical(tmp_path, monkeypatch):
+    # at the default chunk budget every batch is one chunk and the run's
+    # batches share two blocks; at 1e5 floats the exact-score batches split
+    # in two chunks
+    cfg = write(tmp_path, "tv.cfg", TV_CHUNKED)
+    built, starts = _record_noise(monkeypatch)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", cfg, "--out", out1]) == 0
-    assert main(["run", cfg, "--out", out2, "--threads", "4"]) == 0
-    for name in ("identity_report.csv", "loss_report.csv", "summary.txt"):
+    assert (len(built), starts) == (2, {0})
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 100_000)
+    assert main(["run", cfg, "--out", out2]) == 0
+    assert len(starts) >= 2
+    for name in ("bounds.csv", "tv_report.csv", "summary.txt"):
         with open(os.path.join(out1, name), "rb") as f1, \
                 open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_a_run_draws_each_path_range_once(tmp_path, monkeypatch):
+    # two biases make 7 sampler batches and 2 score-loss data draws, 9
+    # generators drawn afresh; in one run they share 2 blocks
+    text = ("experiment = tv-pipeline\nschedule.kind = constant\nschedule.n = 10\n"
+            "paths = 500\nsamples = 300\nbiases = 0,0.5\n")
+    built, _ = _record_noise(monkeypatch)
+    run(parse_config(text), str(tmp_path))
+    assert len(built) == 2
+    # outside a run nothing is shared: an exact and a frozen-score pass
+    built.clear()
+    mix = ddpmlab.symmetric_mixture()
+    sched = ddpmlab.constant_rate(10, 4.0)
+    model = ddpmlab.ScoreModel(mix, sched, mode="perturbed", bias=0.5)
+    bounds.girsanov_bound(mix, sched, model, 500, 2, 7)
+    assert len(built) == 2
+    assert simulate._blocks.get() is None
+
+
+def test_a_run_holds_at_most_the_chunk_budget(tmp_path, monkeypatch):
+    budget = 10_000
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", budget)
+    held, starts = [], set()
+    fresh = simulate._fresh_block
+
+    def watched(seed, start, count, steps, d, with_uniform):
+        memo = simulate._blocks.get()
+        held.append(count * (steps * d + with_uniform) + sum(
+            z.size + (0 if u is None else u.size) for u, z in memo.values()))
+        starts.add(start)
+        return fresh(seed, start, count, steps, d, with_uniform)
+
+    monkeypatch.setattr(simulate, "_fresh_block", watched)
+    text = ("experiment = tv-pipeline\nschedule.kind = constant\nschedule.n = 10\n"
+            "paths = 1200\nsamples = 300\nbiases = 0,0.5\n")
+    run(parse_config(text), str(tmp_path))
+    assert len(starts) >= 3
+    assert 0 < max(held) <= budget
+
+
+def test_a_longer_request_drops_the_shorter_block_before_drawing(monkeypatch):
+    # sign-adjudication's batches grow, each a longer block of the same paths
+    held = []
+    fresh = simulate._fresh_block
+
+    def watched(*args):
+        held.append(list(simulate._blocks.get()))
+        return fresh(*args)
+
+    monkeypatch.setattr(simulate, "_fresh_block", watched)
+    with simulate._shared_noise():
+        for steps in (3, 6, 2, 9):
+            simulate._draw_block(5, 0, 4, steps, 1)
+    assert held == [[], [], []]
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -476,6 +560,45 @@ def test_unknown_expect_or_mode_exits_2_before_simulating(tmp_path, capsys, monk
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = pde\n", "t must be interior to a beta interval"),
+    ("experiment = sign-adjudication\npaths = 50\n",
+     "t must be interior to a beta interval"),
+    ("experiment = sign-adjudication\nschedule.n = 8\nschedule.kind = constant\n"
+     "paths = 50\nt = 0.25\n", "t must be interior to a beta interval"),
+    ("experiment = bounds-sweep\nschedule.total = 0\n",
+     "total -log alpha_bar_n must be positive"),
+    ("experiment = bounds-sweep\nn_list = 10,20\npaths = 50\ntotals = 2,0\n",
+     "total -log alpha_bar_n must be positive"),
+    ("experiment = schedule-audit\nschedule.n = 10\ngamma1 = 0.15\ngamma2 = 30.67\n",
+     "band check needs n >= 16 so that log log log n > 0"),
+    ("experiment = identity\nschedule.kind = constant\nschedule.total = -1\n",
+     "total -log alpha_bar_n must be positive"),
+    ("experiment = pde\ntarget.kind = gaussian\ntarget.variance = -1\n"
+     "schedule.n = 8\n", "precision must be positive definite"),
+], ids=["pde_t_on_knot", "sign_t_on_knot", "sign_t_on_constant_knot",
+        "sweep_total_0", "sweep_totals_0", "audit_n_10", "identity_total_negative",
+        "variance_negative"])
+def test_values_the_library_rejects_exit_2_before_simulating(tmp_path, capsys,
+                                                             monkeypatch, text, message):
+    monkeypatch.setattr(simulate, "path_generator",
+                        lambda *args: pytest.fail("simulated"))
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_value_error_raised_by_a_simulation_is_not_a_config_error(tmp_path):
+    cfg = write(tmp_path, "diverging.cfg",
+                "experiment = tv-pipeline\nschedule.kind = constant\nschedule.n = 20\n"
+                "paths = 50\nsamples = 50\nbiases = 1e7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow inside the diverging paths
+        with pytest.raises(ValueError, match="all 50 paths were excluded") as err:
+            main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert not isinstance(err.value, ConfigError)
 
 
 def test_fbsde_run_in_regression_mode(tmp_path):

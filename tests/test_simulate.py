@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import (ScoreModel, _draw_block, ddpm_sample, forward_chain,
-                              growth_clip, path_generator, reverse_sde,
-                              reverse_transition_density, save_trajectories)
+from ddpmlab.simulate import (ScoreModel, _draw_block, _shared_noise, ddpm_sample,
+                              forward_chain, growth_clip, path_generator,
+                              reverse_sde, reverse_transition_density,
+                              save_trajectories)
 from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
                             growth_constants, load_target, symmetric_mixture)
 
@@ -189,6 +190,41 @@ def test_draw_block_matches_fresh_path_generators(with_uniform, d):
                 np.testing.assert_array_equal(u, np.array(want_u))
             else:
                 assert u is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 12), st.integers(0, 12), st.sampled_from([1, 2, 3]),
+       st.booleans(), st.integers(0, 2**40), st.integers(1, 6))
+def test_shared_blocks_serve_prefixes_of_fresh_draws(steps, extra, d, with_uniform,
+                                                      start, count):
+    # Philox streams are counter-based, so the first `steps` rows of a longer
+    # draw are a fresh `steps` draw; inside a run the memo serves them, and a
+    # longer request after a shorter one is drawn in full
+    longer = steps + extra
+    fresh_u, fresh_z = _draw_block(5, start, count, steps, d, with_uniform)
+    long_u, long_z = _draw_block(5, start, count, longer, d, with_uniform)
+    assert np.array_equal(long_z[:, :steps], fresh_z)
+    assert (fresh_u is None) if not with_uniform else np.array_equal(fresh_u, long_u)
+    for order in ((longer, steps), (steps, longer)):
+        with _shared_noise():
+            served = [_draw_block(5, start, count, n, d, with_uniform) for n in order]
+        for n, (u, z) in zip(order, served):
+            assert np.array_equal(z, long_z[:, :n])
+            assert (u is None) if not with_uniform else np.array_equal(u, long_u)
+
+
+def test_shared_blocks_are_read_only():
+    with _shared_noise():
+        for _ in range(2):  # drawn, then served from the memo
+            u, z = _draw_block(5, 0, 4, 6, 2, with_uniform=True)
+            for block in (u, z):
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0] = 0.0
+        _, z = _draw_block(5, 0, 4, 3, 2, with_uniform=True)
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+    _, z = _draw_block(5, 0, 4, 6, 2, with_uniform=True)
+    z[0] = 0.0  # outside a run every draw is the caller's own
 
 
 PERT = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
