@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import (fd_bin_edges, grid_from_density, kl,
+from .metrics import (_write_csv, fd_bin_edges, grid_from_density, kl,
                       tv_hist_two_samples, tv_hist_vs_density)
 from .schedule import NoiseSchedule
 from .simulate import (ScoreModel, TrajectoryBatch, _check_schedule,
                        _exact_step, _frozen_score, _integrate, _kept_paths,
                        _reverse_grid, reverse_sde)
-from .target import GrowthConstants, MixtureTarget, default_axis
+from .target import GrowthConstants, MixtureTarget, _require_d, default_axis
 
 __all__ = [
     "BoundReport",
@@ -75,9 +75,7 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
     histogram TV between the data density and the batch's terminal states
     (empirical estimator for d = 1).
     """
-    if target.d != 1:
-        raise ValueError("schrodinger_bound: the empirical TV side is implemented "
-                         f"for d == 1, got d = {target.d}")
+    _require_d("schrodinger_bound", target.d, 1)
     rhs, terms, notes = _schrodinger_rhs(target, schedule)
     keep = _kept_paths("schrodinger_bound", reverse_batch.diverged)
     terminal = reverse_batch.terminal_states[keep]
@@ -102,9 +100,7 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
     single-substep exponential-integrator update, which has the law of Xhat_1
     exactly.  Divergent paths are excluded and counted.
     """
-    if target.d != 1:
-        raise ValueError("girsanov_bound: the empirical TV side is implemented "
-                         f"for d == 1, got d = {target.d}")
+    _require_d("girsanov_bound", target.d, 1)
     _check_schedule(score_model, schedule)
     grid, interval, betas = _reverse_grid(schedule, substeps)
     h = 1.0 / betas.size
@@ -216,15 +212,11 @@ def moment_report(schedule: NoiseSchedule, reverse_batch: TrajectoryBatch,
 
 
 def write_bound_reports(path, reports) -> None:
-    """CSV with schema bound,term,value,empirical,std_err,verdict."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("bound,term,value,empirical,std_err,verdict\n")
-        for rep in reports:
-            fh.write(f"{rep.name},total,{rep.rhs:.17g},{rep.lhs:.17g},"
-                     f"{rep.lhs_se:.17g},{rep.verdict}\n")
-            if rep.bias_budget:
-                fh.write(f"{rep.name},bias_budget,{rep.bias_budget:.17g},,,\n")
-            for term, value in rep.terms.items():
-                if not np.isfinite(value):
-                    raise ValueError(f"non-finite bound term {term}")
-                fh.write(f"{rep.name},{term},{value:.17g},,,\n")
+    """CSV with schema bound,term,value,empirical,std_err,verdict; refuses NaN."""
+    rows = []
+    for rep in reports:
+        rows.append((rep.name, "total", rep.rhs, rep.lhs, rep.lhs_se, rep.verdict))
+        if rep.bias_budget:
+            rows.append((rep.name, "bias_budget", rep.bias_budget, "", "", ""))
+        rows += [(rep.name, term, value, "", "", "") for term, value in rep.terms.items()]
+    _write_csv(path, "bound,term,value,empirical,std_err,verdict", rows)

@@ -23,7 +23,7 @@ from .schedule import (NoiseSchedule, band_check, constant_rate,
                        from_linear_variance, load_schedule)
 from .simulate import (ScoreModel, _kept_paths, _shared_noise, ddpm_sample,
                        reverse_sde)
-from .target import (MixtureTarget, default_axis, gaussian_target,
+from .target import (MixtureTarget, _require_d, default_axis, gaussian_target,
                      load_target, symmetric_mixture)
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run", "plotdata"]
@@ -110,7 +110,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: empty key")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(val)
+        # a file name stays text, so that "0" names a file, not stdin
+        values[key] = val.strip() if key.endswith(".file") else _parse_value(val)
     if "experiment" not in values:
         raise ConfigError("config must set 'experiment'")
     experiment = values["experiment"]
@@ -135,18 +136,32 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, values=values)
 
 
+def _number(cfg: ExperimentConfig, key: str, cast, default=None):
+    """The setting `key` (required without `default`) as a `cast` (int or float)
+    value, or as a list of them (one value a list of one) when `default` is a
+    list.  Text, a bool, a fractional int or a list for one value is an error."""
+    value = cfg.require(key) if default is None else cfg.get(key, default)
+    many = isinstance(default, list)
+    values = value if many and isinstance(value, list) else [value]
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or (cast is int and isinstance(v, float) and not v.is_integer())):
+            raise ConfigError(f"{key} must be {cast.__name__}, got {v!r}")
+    values = [cast(v) for v in values]
+    return values if many else values[0]
+
+
 @_as_config_error()
 def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
     kind = cfg.get("target.kind", "mixture")
     if kind == "file":
         return load_target(cfg.require("target.file"))
     if kind == "gaussian":
-        mean = cfg.get("target.mean", 0.0)
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        var = float(cfg.get("target.variance", 1.0))
+        mean = np.array(_number(cfg, "target.mean", float, [0.0]))
+        var = _number(cfg, "target.variance", float, 1.0)
         return gaussian_target(mean, np.eye(mean.size) / var)
-    return symmetric_mixture(separation=float(cfg.get("target.separation", 2.0)),
-                             weight=float(cfg.get("target.weight", 0.5)))
+    return symmetric_mixture(separation=_number(cfg, "target.separation", float, 2.0),
+                             weight=_number(cfg, "target.weight", float, 0.5))
 
 
 @_as_config_error()
@@ -154,11 +169,11 @@ def _build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
     kind = cfg.get("schedule.kind", "linear")
     if kind == "file":
         return load_schedule(cfg.require("schedule.file"))
-    n = int(cfg.get("schedule.n", 100))
+    n = _number(cfg, "schedule.n", int, 100)
     if kind == "constant":
-        return constant_rate(n, float(cfg.get("schedule.total", 4.0)))
-    return from_linear_variance(n, float(cfg.get("schedule.v_start", 1e-4)),
-                                float(cfg.get("schedule.v_end", 0.02)))
+        return constant_rate(n, _number(cfg, "schedule.total", float, 4.0))
+    return from_linear_variance(n, _number(cfg, "schedule.v_start", float, 1e-4),
+                                _number(cfg, "schedule.v_end", float, 0.02))
 
 
 class Summary:
@@ -193,27 +208,16 @@ def _echo_config(cfg: ExperimentConfig, out_dir: str):
             fh.write(f"{key} = {val}\n")
 
 
-def _write_residual_csv(path, rows):
-    """Schema: t_index,t,sign,rms,max,paths,substeps."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_index,t,sign,rms,max,paths,substeps\n")
-        for t_index, t, sign, rms, mx, paths, substeps in rows:
-            if not (math.isfinite(rms) and math.isfinite(mx)):
-                raise ValueError("non-finite residual row")
-            fh.write(f"{t_index},{t:.17g},{sign},{rms:.17g},{mx:.17g},"
-                     f"{paths},{substeps}\n")
-
-
 def _sizes(cfg, *keys):
     """The integer settings `keys` among paths, substeps and seed."""
     defaults = {"paths": 20000, "substeps": 2, "seed": 7}
-    return [int(cfg.get(key, defaults[key])) for key in keys]
+    return [_number(cfg, key, int, defaults[key]) for key in keys]
 
 
 def _run_schedule_audit(cfg, out_dir, summary):
     schedule = _build_schedule(cfg)
-    gamma1 = float(cfg.require("gamma1"))
-    gamma2 = float(cfg.require("gamma2"))
+    gamma1 = _number(cfg, "gamma1", float)
+    gamma2 = _number(cfg, "gamma2", float)
     expect = cfg.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass or fail, got {expect!r}")
@@ -234,9 +238,9 @@ def _run_schedule_audit(cfg, out_dir, summary):
 def _run_identity(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     [seed] = _sizes(cfg, "seed")
-    samples = int(cfg.get("samples", 100000))
-    bias = float(cfg.get("bias", 1.0))
-    rel_tol = float(cfg.get("rel_tol", 0.02))
+    samples = _number(cfg, "samples", int, 100000)
+    bias = _number(cfg, "bias", float, 1.0)
+    rel_tol = _number(cfg, "rel_tol", float, 0.02)
     model = ScoreModel(target, schedule, mode="perturbed", bias=bias)
     report = metrics_mod.denoise_identity_check(target, schedule, model,
                                                 samples, seed)
@@ -267,12 +271,13 @@ def _run_fbsde(cfg, out_dir, summary):
     mode = cfg.get("mode")
     if mode not in (None, "gaussian", "regression"):
         raise ConfigError(f"mode must be gaussian or regression, got {mode!r}")
+    t_index = _number(cfg, "t_index", int, 0)
     batch = reverse_sde(target, schedule, substeps, paths, seed)
-    t_index = int(cfg.get("t_index", 0))
     both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
     rows = [(t_index, batch.times[t_index], s.drift_sign, s.rms, s.max,
              s.paths, s.substeps) for s in both.values()]
-    _write_residual_csv(os.path.join(out_dir, "bsde_residuals.csv"), rows)
+    metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
+                           "t_index,t,sign,rms,max,paths,substeps", rows)
     adjudicated = both[fbsde_mod.ADJUDICATED_DRIFT_SIGN]
     opposite = both[-fbsde_mod.ADJUDICATED_DRIFT_SIGN]
     summary.report("bsde", f"rms[{adjudicated.drift_sign:+d}]={adjudicated.rms:.6g} "
@@ -296,8 +301,9 @@ def _run_fbsde(cfg, out_dir, summary):
 def _pde_residuals(cfg, target, schedule):
     """The grid size and pde_residual's (max, rms, max |u|) for each drift
     sign, at the config's t and grid."""
-    t = float(cfg.get("t", 0.3))
-    pts = default_axis(target, int(cfg.get("grid", 2001)))[:, None]
+    _require_d(cfg.experiment, target.d, 1)
+    t = _number(cfg, "t", float, 0.3)
+    pts = default_axis(target, _number(cfg, "grid", int, 2001))[:, None]
     return pts.shape[0], {sign: fbsde_mod.pde_residual(target, schedule, t, pts, sign)
                           for sign in (-1, 1)}
 
@@ -319,11 +325,10 @@ def _run_pde(cfg, out_dir, summary):
 def _run_sign_adjudication(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
-    subs = cfg.get("substeps_list", [128, 256, 512, 1024])
-    subs = [int(s) for s in (subs if isinstance(subs, list) else [subs])]
+    subs = _number(cfg, "substeps_list", int, [128, 256, 512, 1024])
     if len(subs) < 2:
         raise ConfigError("substeps_list needs at least two entries to check refinement")
-    t_index = int(cfg.get("t_index", 0))
+    t_index = _number(cfg, "t_index", int, 0)
     size, pde = _pde_residuals(cfg, target, schedule)
     rows = []
     curves = {-1: [], 1: []}
@@ -335,7 +340,8 @@ def _run_sign_adjudication(cfg, out_dir, summary):
             curves[sign].append(st.rms)
             rows.append((t_index, batch.times[t_index], sign, st.rms, st.max,
                          st.paths, st.substeps))
-    _write_residual_csv(os.path.join(out_dir, "bsde_residuals.csv"), rows)
+    metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
+                           "t_index,t,sign,rms,max,paths,substeps", rows)
     vanish = -1 if curves[-1][-1] < curves[1][-1] else 1
     factors = [curves[vanish][i + 1] / curves[vanish][i]
                for i in range(len(subs) - 1)]
@@ -365,9 +371,8 @@ def _run_sign_adjudication(cfg, out_dir, summary):
 def _run_tv_pipeline(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
-    biases = cfg.get("biases", [0.0, 0.25, 0.5, 1.0])
-    biases = [float(b) for b in (biases if isinstance(biases, list) else [biases])]
-    samples = int(cfg.get("samples", 20000))
+    biases = _number(cfg, "biases", float, [0.0, 0.25, 0.5, 1.0])
+    samples = _number(cfg, "samples", int, 20000)
     edges = metrics_mod.fd_bin_edges(target, paths)
     # drawn first, its noise block is the longest; every later batch is a prefix
     exact_batch = reverse_sde(target, schedule, substeps, paths, seed,
@@ -414,14 +419,11 @@ def _run_tv_pipeline(cfg, out_dir, summary):
 def _run_bounds_sweep(cfg, out_dir, summary):
     target = _build_target(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
-    n_list = cfg.get("n_list", [10, 50, 100, 500])
-    n_list = [int(n) for n in (n_list if isinstance(n_list, list) else [n_list])]
+    n_list = _number(cfg, "n_list", int, [10, 50, 100, 500])
     if len(n_list) < 2:
         raise ConfigError("n_list needs at least two entries for the rank correlation")
-    total = float(cfg.get("schedule.total", 4.0))
-    totals = cfg.get("totals")
-    totals = sorted(float(v) for v in (totals if isinstance(totals, list)
-                                       else [totals])) if totals else []
+    total = _number(cfg, "schedule.total", float, 4.0)
+    totals = sorted(_number(cfg, "totals", float, []))
     with _as_config_error():
         schedules = [constant_rate(n, total) for n in n_list]
         rhs_schedules = [constant_rate(max(n_list), tot) for tot in totals]

@@ -32,7 +32,8 @@ import numpy as np
 
 from .schedule import NoiseSchedule
 from .simulate import TrajectoryBatch, _integrate, _kept_paths, _reverse_grid
-from .target import MixtureTarget, default_axis
+from .target import (MixtureTarget, _centered_laws, _grid_points, _require_d,
+                     default_axis)
 
 __all__ = [
     "ADJUDICATED_DRIFT_SIGN",
@@ -282,19 +283,10 @@ def pde_residual(target: MixtureTarget, schedule: NoiseSchedule, t: float,
     Spatial derivatives are analytic; d/dt is a centered difference with
     step 1e-6 within the same beta interval.  Returns (max_abs, rms, max_abs_u).
     """
-    dt = 1e-6
-    if target.d > 2:
-        raise ValueError("grid audit restricted to d <= 2")
     if rhs_sign not in (-1, 1):
         raise ValueError("rhs_sign must be +1 or -1")
-    rev_knots = 1.0 - schedule.times
-    if np.min(np.abs(rev_knots - t)) <= 2.0 * dt:
-        raise ValueError("t must be interior to a beta interval")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    beta = float(schedule.beta(1.0 - t))
-    law, plus, minus = target.marginal_at(schedule, 1.0 - np.array([t, t + dt, t - dt]))
+    pts, beta, dt, (law, plus, minus) = _centered_laws("pde_residual", target,
+                                                       schedule, t, points, reverse=True)
     u = law.score(pts)
     hess = law.hessian_log(pts)
     lap_u = law.score_laplacian(pts)
@@ -315,8 +307,7 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
     no discretization error.  Returns per-checkpoint means and standard
     errors plus the grid-quadrature value of E[h(0, Y_0)] as reference.
     """
-    if target.d > 2:
-        raise ValueError("density evaluation restricted to d <= 2")
+    _require_d("h_martingale_check", target.d, 2)
     times = np.asarray(sorted(set([0.0] + list(times))), dtype=float)
     if times[0] < 0.0 or times[-1] > 1.0:
         raise ValueError("checkpoints must lie in [0, 1]")
@@ -339,7 +330,7 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
     means = values.mean(axis=0)
     ses = values.std(axis=0) / math.sqrt(paths)
     axis = default_axis(target)
-    pts = np.column_stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")])
+    pts = _grid_points([axis] * d)
     w = (axis[1] - axis[0]) ** d
     phi = np.exp(-0.5 * np.sum(pts**2, axis=1)) / (2.0 * math.pi) ** (d / 2)
     reference = float(np.sum(phi * laws[0].pdf(pts)) * w)

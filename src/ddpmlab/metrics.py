@@ -15,7 +15,8 @@ import numpy as np
 
 from .schedule import NoiseSchedule
 from .simulate import ScoreModel, _check_schedule, _draw_block
-from .target import GaussianMixtureDensity, GrowthConstants, MixtureTarget, default_axis
+from .target import (GaussianMixtureDensity, GrowthConstants, MixtureTarget,
+                     _grid_points, _require_d, default_axis)
 
 __all__ = [
     "DensityGrid",
@@ -48,29 +49,18 @@ class DensityGrid:
         return abs(1.0 - self.mass)
 
     def check_axes(self, other: "DensityGrid"):
-        if len(self.axes) != len(other.axes) or any(
-            a.shape != b.shape or not np.array_equal(a, b)
-            for a, b in zip(self.axes, other.axes)
-        ):
+        if len(self.axes) != len(other.axes) or not all(
+                np.array_equal(a, b) for a, b in zip(self.axes, other.axes)):
             raise ValueError("grids must share identical axes")
 
 
 def grid_from_density(density, axes) -> DensityGrid:
     """Evaluate a density (mixture object or callable) on uniform axes."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-        vol = float(axes[0][1] - axes[0][0])
-    elif len(axes) == 2:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vol = float((axes[0][1] - axes[0][0]) * (axes[1][1] - axes[1][0]))
-    else:
-        raise ValueError("density grids support d <= 2")
+    _require_d("grid_from_density", len(axes), 2)
+    vol = math.prod(float(a[1] - a[0]) for a in axes)
     fn = density.pdf if hasattr(density, "pdf") else density
-    vals = np.asarray(fn(pts), dtype=float)
-    if len(axes) == 2:
-        vals = vals.reshape(axes[0].size, axes[1].size)
+    vals = np.asarray(fn(_grid_points(axes)), dtype=float).reshape([a.size for a in axes])
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         raise ValueError("density values must be finite and nonnegative")
     return DensityGrid(axes=axes, values=vals, cell_volume=vol)
@@ -111,9 +101,7 @@ def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int) -> np.ndarray:
     Width 2*IQR/n^(1/3) over the default evaluation range, floored at
     64 bins, so the binning is deterministic and target-adapted.
     """
-    if target.d != 1:
-        raise ValueError("fd_bin_edges: histogram TV is implemented for d == 1, "
-                         f"got d = {target.d}")
+    _require_d("fd_bin_edges", target.d, 1)
     axis = default_axis(target)
     lo, hi = float(axis[0]), float(axis[-1])
     width = 2.0 * _target_iqr(target) / max(n_samples, 1) ** (1.0 / 3.0)
@@ -188,10 +176,17 @@ class LossReport:
     samples: int
 
 
-def _forward_pairs(target: MixtureTarget, samples: int, seed: int):
-    """(x0, Z) pairs from per-sample substreams."""
+def _forward_marginals(target: MixtureTarget, schedule: NoiseSchedule,
+                       score_model: ScoreModel, samples: int, seed: int):
+    """Check the model's schedule, draw (x0, Z) pairs from per-sample
+    substreams and yield (i, law_i, m, sig, x0, Z) for steps i = 1..n, where
+    x_i = m x0 + sig Z has law_i: m = sqrt(abar_i), sig = sqrt(1 - abar_i)."""
+    _check_schedule(score_model, schedule)
     u, draws = _draw_block(seed, 0, samples, 2, target.d, with_uniform=True)
-    return target._from_draws(u, draws[:, 0, :]), draws[:, 1, :]
+    x0, z = target._from_draws(u, draws[:, 0, :]), draws[:, 1, :]
+    abars = schedule.alpha_bars
+    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
+        yield i, law, math.sqrt(abars[i - 1]), math.sqrt(1.0 - abars[i - 1]), x0, z
 
 
 def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
@@ -203,16 +198,12 @@ def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_schedule(score_model, schedule)
     n = schedule.n
-    x0, z = _forward_pairs(target, samples, seed)
-    abars = schedule.alpha_bars
     per = np.empty(n)
     per_se = np.empty(n)
     pooled = np.zeros(samples)
-    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
-        m = math.sqrt(abars[i - 1])
-        sig = math.sqrt(1.0 - abars[i - 1])
+    for i, law, m, sig, x0, z in _forward_marginals(target, schedule, score_model,
+                                                    samples, seed):
         x_i = m * x0 + sig * z
         diff = score_model.s_step(i, x_i) - law.score(x_i)
         vals = np.sum(diff * diff, axis=-1)
@@ -257,11 +248,8 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
     Antithetic Z pairs cancel the leading 1/sigma noise term, which keeps
     the residual purely Monte Carlo at a usable scale for small 1 - abar_i.
     """
-    _check_schedule(score_model, schedule)
     n = schedule.n
     n_pairs = max(1, samples // 2)
-    x0, z = _forward_pairs(target, n_pairs, seed)
-    abars = schedule.alpha_bars
     per_gap = np.empty(n)
     per_se = np.empty(n)
     pooled_gap_samples = np.zeros(n_pairs)
@@ -277,9 +265,8 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
                + np.sum(c * c, axis=-1) - np.sum(g * g, axis=-1))
         return lhs, lhs - rhs
 
-    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
-        m = math.sqrt(abars[i - 1])
-        sig = math.sqrt(1.0 - abars[i - 1])
+    for i, law, m, sig, x0, z in _forward_marginals(target, schedule, score_model,
+                                                    n_pairs, seed):
         lhs_p, gap_p = one_side(i, m, sig, law, x0, z)
         lhs_m, gap_m = one_side(i, m, sig, law, x0, -z)
         lhs_vals = 0.5 * (lhs_p + lhs_m)
@@ -309,17 +296,12 @@ class GrowthAudit:
 def score_growth_audit(target: MixtureTarget, schedule: NoiseSchedule,
                        envelope: GrowthConstants, t_grid=None, points=None) -> GrowthAudit:
     """Pointwise audit of |grad log p_t(x)| <= c0/m + (c1/m^2)|x|, m = m_{0,t}."""
-    if target.d > 2:
-        raise ValueError("grid audit restricted to d <= 2")
+    _require_d("score_growth_audit", target.d, 2)
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 20)
     if points is None:
-        if target.d == 1:
-            points = default_axis(target)[:, None]
-        else:
-            ax = default_axis(target, 101)
-            xx, yy = np.meshgrid(ax, ax, indexing="ij")
-            points = np.column_stack([xx.ravel(), yy.ravel()])
+        points = _grid_points([default_axis(target, 2001 if target.d == 1 else 101)]
+                              * target.d)
     points = np.asarray(points, dtype=float)
     radius = np.sqrt(np.sum(points**2, axis=-1))
     worst = math.inf
@@ -337,9 +319,16 @@ def score_growth_audit(target: MixtureTarget, schedule: NoiseSchedule,
 
 def write_metric_report(path, rows) -> None:
     """CSV with schema name,i_or_t,value,std_err,samples; refuses NaN."""
+    _write_csv(path, "name,i_or_t,value,std_err,samples", rows)
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """A report CSV: floats at 17 significant digits, other cells as text.
+    Refuses a non-finite float in any column."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("name,i_or_t,value,std_err,samples\n")
-        for name, key, value, se, samples in rows:
-            if not (np.isfinite(value) and np.isfinite(se)):
-                raise ValueError(f"non-finite metric value for {name}")
-            fh.write(f"{name},{key},{value:.17g},{se:.17g},{samples}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+                raise ValueError(f"non-finite value in report row {row}")
+            cells = [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+            fh.write(",".join(cells) + "\n")

@@ -192,8 +192,7 @@ class GaussianMixtureDensity:
 
     def cdf_1d(self, x):
         """Mixture CDF; only defined in dimension 1."""
-        if self.d != 1:
-            raise ValueError("cdf_1d requires d == 1")
+        _require_d("cdf_1d", self.d, 1)
         from scipy.special import ndtr
 
         x = np.asarray(x, dtype=float)
@@ -213,11 +212,14 @@ class MixtureTarget(GaussianMixtureDensity):
         q = np.atleast_2d(np.asarray(precision, dtype=float))
         if np.max(np.abs(q - q.T)) > 1e-12 * max(1.0, np.max(np.abs(q))):
             raise ValueError("precision must be symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (q + q.T))
+        q = 0.5 * (q + q.T)
+        eigvals = np.linalg.eigvalsh(q)
         if eigvals.min() <= 0.0:
             raise ValueError("precision must be positive definite")
-        super().__init__(weights, means, np.linalg.inv(0.5 * (q + q.T)))
-        self.q = 0.5 * (q + q.T)
+        # inv(q) is symmetric only to cond(q) eps: symmetrised, not checked
+        cov = np.linalg.inv(q)
+        super().__init__(weights, means, 0.5 * (cov + cov.T))
+        self.q = q
         self.q.flags.writeable = False
         self._q_eigvals = eigvals
 
@@ -312,6 +314,36 @@ def default_axis(target: GaussianMixtureDensity, points: int = 2001) -> np.ndarr
     return np.linspace(-half, half, points)
 
 
+def _grid_points(axes) -> np.ndarray:
+    """The points of the tensor grid on `axes` as rows, the last axis fastest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _require_d(name: str, d: int, top: int) -> None:
+    """Raise unless d <= top (d == 1 when top is 1), naming the caller."""
+    if d > top:
+        rule = "d == 1" if top == 1 else f"d <= {top}"
+        raise ValueError(f"{name}: implemented for {rule}, got d = {d}")
+
+
+def _centered_laws(name: str, target: MixtureTarget, schedule, t: float, points,
+                   reverse: bool = False):
+    """Points as rows, beta, dt = 1e-6 and the laws at t, t + dt, t - dt for a
+    d <= 2 audit at t off the knots; with `reverse`, each is read at 1 - t."""
+    _require_d(name, target.d, 2)
+    dt = 1e-6
+    knots = schedule.times
+    times = np.array([t, t + dt, t - dt])
+    if reverse:
+        knots, times = 1.0 - knots, 1.0 - times
+    if np.min(np.abs(knots - t)) <= 2.0 * dt:
+        raise ValueError("t must be interior to a beta interval")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    return pts, float(schedule.beta(times[0])), dt, target.marginal_at(schedule, times)
+
+
 def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points):
     """Residual of the forward Kolmogorov equation at interior time t.
 
@@ -319,17 +351,8 @@ def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points):
     spatial terms analytic and d/dt by a centered difference with step 1e-6
     inside the same beta interval.  Returns (max_abs, rms, max_density).
     """
-    dt = 1e-6
-    if target.d > 2:
-        raise ValueError("residual audit is restricted to d <= 2")
-    knots = schedule.times
-    if np.min(np.abs(knots - t)) <= 2.0 * dt:
-        raise ValueError("t must be interior to a beta interval (away from knots)")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    beta = float(schedule.beta(t))
-    law, plus, minus = target.marginal_at(schedule, np.array([t, t + dt, t - dt]))
+    pts, beta, dt, (law, plus, minus) = _centered_laws("fokker_planck_residual",
+                                                       target, schedule, t, points)
     p = law.pdf(pts)
     grad = law.grad_pdf(pts)
     lap = law.laplacian_pdf(pts)
@@ -352,8 +375,10 @@ def save_target(target: MixtureTarget, path) -> None:
 
 def load_target(path) -> MixtureTarget:
     with open(path) as fh:
-        d = int(fh.readline().strip().split("=")[1])
-        k = int(fh.readline().strip().split("=")[1])
+        header = [fh.readline().strip() for _ in range(2)]
+        if not (header[0].startswith("d=") and header[1].startswith("K=")):
+            raise ValueError(f"target file {path} must start with 'd=' and 'K=' lines")
+        d, k = int(header[0][2:]), int(header[1][2:])
         weights, means = [], []
         for _ in range(k):
             vals = [float(v) for v in fh.readline().split(",")]

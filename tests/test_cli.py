@@ -12,6 +12,8 @@ import ddpmlab
 from ddpmlab import bounds, experiments, simulate
 from ddpmlab.cli import main
 from ddpmlab.experiments import ConfigError, parse_config, run
+from ddpmlab.schedule import from_linear_variance, save_schedule
+from ddpmlab.target import save_target, symmetric_mixture
 
 
 def write(tmp_path, name, text):
@@ -676,3 +678,85 @@ def test_io_failures_exit_3(tmp_path, capsys):
                                         "0,0,-1,0.5,1.0,10,16\n")
     assert main(["plotdata", report, "--out", os.path.join(blocker, "res.dat")]) == 3
     assert capsys.readouterr().err.startswith("error: I/O failure: ")
+
+
+# t = 0.255 lies inside an interval of the default 100-step schedule
+PDE = "experiment = pde\nt = 0.255\n"
+
+
+def test_a_saved_target_runs_like_the_target_it_saves(tmp_path):
+    save_target(symmetric_mixture(), tmp_path / "mixture.txt")
+    outputs = []
+    for name, text in (("built", PDE), ("file", PDE + "target.kind = file\n"
+                                        f"target.file = {tmp_path / 'mixture.txt'}\n")):
+        out = tmp_path / name
+        assert main(["run", write(tmp_path, f"{name}.cfg", text), "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("summary.txt", "pde_residuals.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("family", ["target", "schedule"])
+def test_a_numeric_file_name_names_a_file(tmp_path, monkeypatch, family):
+    # read as a number, the name would be taken for a file descriptor
+    monkeypatch.chdir(tmp_path)
+    if family == "target":
+        save_target(symmetric_mixture(), "12345")
+    else:
+        save_schedule(from_linear_variance(100, 1e-4, 0.02), "12345")
+    cfg = write(tmp_path, "numeric.cfg",
+                PDE + f"{family}.kind = file\n{family}.file = 12345\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert f"{family}.file = 12345\n" in (tmp_path / "out" / "config_resolved.txt").read_text()
+
+
+def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("dim=1\nK=1\n1,0\n1\n")
+    cfg = write(tmp_path, "bad.cfg", PDE + f"target.kind = file\ntarget.file = {bad}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: target file {bad} must start with 'd=' and 'K=' lines\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = fbsde\npaths = 2.5\n", "paths must be int, got 2.5"),
+    ("experiment = sign-adjudication\nsubsteps_list = 2,4.5\n",
+     "substeps_list must be int, got 4.5"),
+    ("experiment = identity\nbias = true\n", "bias must be float, got True"),
+    ("experiment = tv-pipeline\npaths = abc\n", "paths must be int, got 'abc'"),
+    ("experiment = fbsde\nseed = x\n", "seed must be int, got 'x'"),
+    ("experiment = identity\nsamples = 1,2\n", "samples must be int, got [1, 2]"),
+    ("experiment = tv-pipeline\nschedule.n = 10,20\n",
+     "schedule.n must be int, got [10, 20]"),
+    ("experiment = fbsde\nt_index = 1,2\n", "t_index must be int, got [1, 2]"),
+], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
+        "samples_list", "schedule_n_list", "t_index_list"])
+def test_malformed_numeric_settings_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
+                                                            text, message):
+    monkeypatch.setattr(simulate, "path_generator",
+                        lambda *args: pytest.fail("simulated"))
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integral_float_settings_are_accepted(tmp_path):
+    outputs = []
+    for name, grid in (("int", "401"), ("float", "4.01e2")):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.cfg", PDE + f"grid = {grid}\n")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "pde_residuals.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("experiment", ["pde", "sign-adjudication"])
+def test_pde_experiments_reject_a_2d_target_before_simulating(tmp_path, capsys,
+                                                              monkeypatch, experiment):
+    monkeypatch.setattr(simulate, "path_generator",
+                        lambda *args: pytest.fail("simulated"))
+    cfg = write(tmp_path, "d2.cfg", f"experiment = {experiment}\nt = 0.255\n"
+                "target.kind = gaussian\ntarget.mean = 0.5,1\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {experiment}: implemented for d == 1, got d = 2\n"

@@ -270,16 +270,16 @@ PTS3 = np.zeros((2, 3))
 AX = np.linspace(-1.0, 1.0, 3)
 GUARDS = {
     "pde_residual_d3": (lambda: pde_residual(G3, SCHED, 0.3, PTS3, -1),
-                        "grid audit restricted to d <= 2"),
+                        "pde_residual: implemented for d <= 2, got d = 3"),
     "fokker_planck_residual_d3": (lambda: fokker_planck_residual(G3, SCHED, 0.3, PTS3),
-                                  "residual audit is restricted to d <= 2"),
+                                  "fokker_planck_residual: implemented for d <= 2, got d = 3"),
     "h_martingale_check_d3": (lambda: h_martingale_check(G3, SCHED, 10, 1, [0.5]),
-                              "density evaluation restricted to d <= 2"),
+                              "h_martingale_check: implemented for d <= 2, got d = 3"),
     "score_growth_audit_d3": (lambda: score_growth_audit(
         G3, SCHED, growth_constants(G3), t_grid=[0.5], points=PTS3),
-        "grid audit restricted to d <= 2"),
+        "score_growth_audit: implemented for d <= 2, got d = 3"),
     "grid_from_density_3_axes": (lambda: grid_from_density(G3, (AX, AX, AX)),
-                                 "density grids support d <= 2"),
+                                 "grid_from_density: implemented for d <= 2, got d = 3"),
     "h_martingale_check_above_1": (lambda: h_martingale_check(GAUSS, SCHED, 10, 1, [1.5]),
                                    r"checkpoints must lie in \[0, 1\]"),
     "h_martingale_check_below_0": (lambda: h_martingale_check(GAUSS, SCHED, 10, 1, [-0.1]),

@@ -11,8 +11,8 @@ from ddpmlab.metrics import (DensityGrid, denoise_identity_check,
                              write_metric_report)
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import ScoreModel, growth_clip, path_generator
-from ddpmlab.target import (default_axis, gaussian_target, growth_constants,
-                            symmetric_mixture)
+from ddpmlab.target import (MixtureTarget, default_axis, gaussian_target,
+                            growth_constants, symmetric_mixture)
 
 MIX = symmetric_mixture()
 SCHED = from_linear_variance(50, 1e-3, 0.05)
@@ -249,3 +249,34 @@ def test_loss_and_identity_reject_a_model_on_another_schedule(model_schedule, sc
         score_loss(MIX, schedule, model, 200, seed=1)
     with pytest.raises(ValueError, match=message):
         denoise_identity_check(MIX, schedule, model, 200, seed=1)
+
+
+MIX2 = MixtureTarget([0.3, 0.7], [[-1.0, 0.5], [1.5, -0.5]], [[1.5, 0.4], [0.4, 0.8]])
+
+
+def test_grid_from_density_on_two_axes():
+    ax, ay = default_axis(MIX2, 161), default_axis(MIX2, 201)
+    grid = grid_from_density(MIX2, (ax, ay))
+    # the first axis indexes rows
+    assert grid.values.shape == (161, 201)
+    assert grid.values[40, 150] == pytest.approx(
+        float(MIX2.pdf(np.array([ax[40], ay[150]]))), rel=1e-12)
+    assert grid.cell_volume == pytest.approx((ax[1] - ax[0]) * (ay[1] - ay[0]), rel=1e-15)
+    assert grid.mass_deficit() < 1e-6
+    later = grid_from_density(MIX2.marginal_at(SCHED, 0.5), (ax, ay))
+    assert later.mass_deficit() < 1e-6
+    assert tv(grid, grid) == 0.0
+    assert 0.0 < tv(grid, later) < 1.0
+    value, floored = kl(grid, later)
+    assert value > 0.0 and floored == 0
+
+
+def test_score_growth_audit_default_points_in_two_dimensions():
+    ax = default_axis(MIX2, 101)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    points = np.column_stack([xx.ravel(), yy.ravel()])
+    envelope = growth_constants(MIX2)
+    t_grid = [0.0, 0.3, 0.9]
+    audit = score_growth_audit(MIX2, SCHED, envelope, t_grid=t_grid)
+    assert audit == score_growth_audit(MIX2, SCHED, envelope, t_grid=t_grid, points=points)
+    assert audit.ok

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -454,3 +455,26 @@ def test_cdf_1d_matches_norm_cdf_bit_for_bit(target):
         z = (np.asarray(x)[..., None] - target.means[:, 0]) / math.sqrt(target.covariance[0, 0])
         assert np.array_equal(target.cdf_1d(x), norm.cdf(z) @ target.weights,
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("top", [1e8, 1e9])
+def test_ill_conditioned_symmetric_precisions_are_accepted(top):
+    # inv(Q) is symmetric only to about cond(Q) * eps, so the constructor must
+    # not put its own inverse through the 1e-12 check meant for caller input
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rot, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        q = rot @ np.diag(np.geomspace(1.0, top, 4)) @ rot.T
+        q = 0.5 * (q + q.T)
+        target = MixtureTarget([0.4, 0.6], rng.normal(size=(2, 4)), q)
+        assert np.array_equal(target.q, q)
+        assert np.array_equal(target.covariance, target.covariance.T)
+
+
+@pytest.mark.parametrize("text", ["dim=1\nK=1\n1,0\n1\n", "d=1\n1,0\n1\n", ""],
+                         ids=["dim", "no_K", "empty"])
+def test_load_target_names_a_file_without_its_header(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"target file {path} must start")):
+        load_target(path)
