@@ -330,16 +330,21 @@ def _run_sign_adjudication(cfg, out_dir, summary):
         raise ConfigError("substeps_list needs at least two entries to check refinement")
     t_index = _number(cfg, "t_index", int, 0)
     size, pde = _pde_residuals(cfg, target, schedule)
+    # longest first, so the run memo holds the one noise block whose prefixes
+    # serve every shorter batch; rows and curves follow the config order
+    residuals = {}
+    for s_count in sorted(set(subs), reverse=True):
+        batch = reverse_sde(target, schedule, s_count, paths, seed)
+        residuals[s_count] = (batch.times[t_index], fbsde_mod.bsde_residual_both(
+            target, schedule, batch, t_index))
     rows = []
     curves = {-1: [], 1: []}
     for s_count in subs:
-        batch = reverse_sde(target, schedule, s_count, paths, seed)
-        both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
+        t, both = residuals[s_count]
         for sign in (-1, 1):
             st = both[sign]
             curves[sign].append(st.rms)
-            rows.append((t_index, batch.times[t_index], sign, st.rms, st.max,
-                         st.paths, st.substeps))
+            rows.append((t_index, t, sign, st.rms, st.max, st.paths, st.substeps))
     metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
                            "t_index,t,sign,rms,max,paths,substeps", rows)
     vanish = -1 if curves[-1][-1] < curves[1][-1] else 1

@@ -244,10 +244,10 @@ class ScoreModel:
         s = self._laws[i - 1].score(x)
         if self.mode == "perturbed":
             if self.bias is not None:
-                s = s + self.bias
+                s += self.bias
             if self.noise_amplitude != 0.0:
                 phase = 2.0 * math.pi * ((i * 0.6180339887498949) % 1.0)
-                s = s + self.noise_amplitude * np.sin(2.0 * x + phase)
+                s += self.noise_amplitude * np.sin(2.0 * x + phase)
         return s
 
     def z_step(self, i: int, x) -> np.ndarray:
@@ -317,7 +317,7 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
         for k in range(steps):
             x_new = step(k, x, z[:, k + 1, :], rows)
             alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
-            x = np.where(alive[:, None], x_new, x)
+            x = x_new if alive.all() else np.where(alive[:, None], x_new, x)
             if full:
                 states[rows, k + 1] = x
         if not full:
@@ -358,6 +358,18 @@ def _reverse_grid(schedule: NoiseSchedule, substeps: int):
     return grid, interval, -schedule.n * schedule.log_alphas[interval - 1]
 
 
+def _euler(x, score, beta, h, z):
+    """x + (0.5 beta x + beta score) h + sqrt(beta h) z, built in place in one
+    new array; x, score and z are only read (a frozen score is reused across
+    substeps, and a shared noise block is read-only)."""
+    drift = 0.5 * beta * x
+    drift += beta * score
+    drift *= h
+    drift += x
+    drift += math.sqrt(beta * h) * z
+    return drift
+
+
 def _exact_step(target, schedule, grid, betas, observe=None):
     """Euler-Maruyama step of the reverse SDE with the true marginal score;
     observe(k, x, score, rows), when given, sees the score each step uses."""
@@ -369,8 +381,7 @@ def _exact_step(target, schedule, grid, betas, observe=None):
         score = marginals[k].score(x)
         if observe is not None:
             observe(k, x, score, rows)
-        drift = 0.5 * beta * x + beta * score
-        return x + drift * h + math.sqrt(beta * h) * z
+        return _euler(x, score, beta, h, z)
 
     return step
 
@@ -424,13 +435,16 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
     def exponential_step(k, x, z, rows):
         alpha = schedule.alphas[interval[k] - 1]
         ra = math.sqrt(alpha)
-        return (x / ra + 2.0 * frozen_at(k, x) * (1.0 - ra) / ra
-                + math.sqrt((1.0 - alpha) / alpha) * z)
+        # x / ra + 2.0 * s * (1.0 - ra) / ra + sqrt((1 - alpha) / alpha) * z
+        x_new = 2.0 * frozen_at(k, x)
+        x_new *= 1.0 - ra
+        x_new /= ra
+        x_new += x / ra
+        x_new += math.sqrt((1.0 - alpha) / alpha) * z
+        return x_new
 
     def euler_step(k, x, z, rows):
-        beta = betas[k]
-        drift = 0.5 * beta * x + beta * frozen_at(k, x)
-        return x + drift * h + math.sqrt(beta * h) * z
+        return _euler(x, frozen_at(k, x), betas[k], h, z)
 
     return _integrate(seed, paths, grid, source.target.d,
                       exponential_step if substeps == 1 else euler_step,
@@ -457,9 +471,10 @@ def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
     def step(k, x, z, rows):
         i = n - k
         coeff = (1.0 - alphas[i - 1]) / math.sqrt(1.0 - abars[i - 1])
-        x_new = (x - coeff * score_model.z_step(i, x)) / math.sqrt(alphas[i - 1])
+        x_new = x - coeff * score_model.z_step(i, x)
+        x_new /= math.sqrt(alphas[i - 1])
         if i > 1 or final_noise:
-            x_new = x_new + sigmas[i - 1] * z
+            x_new += sigmas[i - 1] * z
         return x_new
 
     return _integrate(seed, paths, schedule.times, score_model.target.d, step,

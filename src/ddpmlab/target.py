@@ -74,6 +74,13 @@ def _factored(weights, means, covariance) -> dict:
                                - 0.5 * np.sum(means * p_mu, axis=-1))[..., None])
 
 
+def _product(a, b):
+    """a @ b, by np.dot when the inner dimension is 1 (d = 1 in the kernel):
+    there matmul runs an unblocked loop about 8 times slower, and both form
+    each entry as one product.  Elsewhere matmul is the faster of the two."""
+    return np.dot(a, b) if b.shape[0] == 1 else a @ b
+
+
 class GaussianMixtureDensity:
     """Mixture of Gaussians with one shared covariance matrix.
 
@@ -106,7 +113,8 @@ class GaussianMixtureDensity:
     def _logits(self, x):
         """Logits l_k(x) less their maximum over k, K-major: shape (K, N) for
         the N points of the array x, so reductions over k run along axis 0."""
-        logits = self._p_mu @ x.reshape(-1, x.shape[-1]).T + self._logit_offset
+        logits = _product(self._p_mu, x.reshape(-1, x.shape[-1]).T)
+        logits += self._logit_offset
         top = logits.max(axis=0)
         logits -= top
         return logits, top
@@ -130,14 +138,22 @@ class GaussianMixtureDensity:
         x = np.asarray(x, dtype=float)
         if self.n_components == 1:
             return np.ones(x.shape[:-1] + (1,))
-        pi = np.exp(self._logits(x)[0])
+        pi = self._logits(x)[0]
+        np.exp(pi, out=pi)
         pi /= pi.sum(axis=0)
-        return np.ascontiguousarray(pi.T).reshape(x.shape[:-1] + (self.n_components,))
+        # written column by column: a transposed view would hand BLAS a
+        # layout whose rounding in score depends on the batch size
+        out = np.empty((pi.shape[1], self.n_components))
+        for k, row in enumerate(pi):
+            out[:, k] = row
+        return out.reshape(x.shape[:-1] + (self.n_components,))
 
     def score(self, x):
         """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d)."""
         x = np.asarray(x, dtype=float)
-        return self.posterior_weights(x) @ self._p_mu - x @ self.precision
+        s = self.posterior_weights(x) @ self._p_mu
+        s -= _product(x, self.precision)
+        return s
 
     def _centred(self, x):
         """pi and the rows c_k = P mu_k - sum_j pi_j P mu_j; shape (..., K, d)."""

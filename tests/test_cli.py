@@ -1,3 +1,4 @@
+import csv
 import inspect
 import math
 import os
@@ -291,6 +292,23 @@ def test_a_longer_request_drops_the_shorter_block_before_drawing(monkeypatch):
         for steps in (3, 6, 2, 9):
             simulate._draw_block(5, 0, 4, steps, 1)
     assert held == [[], [], []]
+
+
+def test_sign_adjudication_draws_its_longest_block_once(tmp_path, monkeypatch):
+    # the longest batch runs first, so every shorter one reads a prefix of
+    # its block; the report keeps the config order (which, not ascending here,
+    # fails the refinement check: only the draws and the rows are looked at)
+    text = ("experiment = sign-adjudication\ntarget.kind = gaussian\n"
+            "target.mean = 1.5\nschedule.kind = constant\nschedule.n = 8\n"
+            "schedule.total = 2.0\npaths = 64\nsubsteps_list = 16,64,32\n"
+            "grid = 401\n")
+    built, _ = _record_noise(monkeypatch)
+    run(parse_config(text), str(tmp_path))
+    assert len(built) == 1
+    with open(tmp_path / "bsde_residuals.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["substeps"]) for r in rows] == [16, 16, 64, 64, 32, 32]
+    assert [int(r["sign"]) for r in rows] == [-1, 1] * 3
 
 
 def test_seed_override_changes_output(tmp_path):

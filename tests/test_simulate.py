@@ -398,6 +398,66 @@ def test_divergence_guard_reports_paths():
     assert np.all(np.isfinite(batch.states))
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_some_diverging_paths_freeze_at_their_last_in_limit_state(chunk):
+    # paths grow by their own factor, so some leave the limit at different
+    # steps while others never do: a chunk runs all alive for a while, then not
+    from ddpmlab.simulate import _integrate
+
+    paths, steps, limit = 40, 12, 1e3
+    growth = np.linspace(0.5, 3.0, paths)[:, None]
+
+    def step(k, x, z, rows):
+        return growth[rows] * x + z
+
+    batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), 1, step,
+                       "full", chunk, "test", limit=limit)
+    x = batch.states[:, 0].copy()
+    alive = np.ones(paths, dtype=bool)
+    frozen_at = np.full(paths, steps)
+    for k in range(steps):
+        cand = growth * x + batch.noises[:, k]
+        fresh = alive & (np.abs(cand[:, 0]) > limit)
+        frozen_at[fresh] = k
+        alive &= ~fresh
+        x[alive] = cand[alive]
+        np.testing.assert_array_equal(batch.states[:, k + 1], x)
+    np.testing.assert_array_equal(batch.diverged, ~alive)
+    assert 0 < batch.diverged.sum() < paths
+    assert np.unique(frozen_at[batch.diverged]).size > 1
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_model_mode_reverse_steps_leave_scores_and_noise_untouched(substeps):
+    # the steps build their result in place: the frozen score reused across
+    # substeps and the noise rows they read must come through unchanged, so a
+    # run inside _shared_noise (read-only blocks, the second one served from
+    # the memo) matches a run outside it and an out-of-place replay
+    outside = reverse_sde(PERT, SCHED, substeps, 300, 11, score_mode="model")
+    with _shared_noise():
+        inside = [reverse_sde(PERT, SCHED, substeps, 300, 11, score_mode="model")
+                  for _ in range(2)]
+    for batch in inside:
+        np.testing.assert_array_equal(batch.states, outside.states)
+    n = SCHED.n * substeps
+    h = 1.0 / n
+    x = outside.states[:, 0]
+    for k in range(n):
+        i = SCHED.n - k // substeps
+        alpha = SCHED.alphas[i - 1]
+        if k % substeps == 0:
+            s = PERT.s_frozen(i, x)
+        z = outside.noises[:, k]
+        if substeps == 1:
+            ra = math.sqrt(alpha)
+            x = x / ra + 2.0 * s * (1.0 - ra) / ra + math.sqrt((1.0 - alpha) / alpha) * z
+        else:
+            beta = -SCHED.n * SCHED.log_alphas[i - 1]
+            drift = 0.5 * beta * x + beta * s
+            x = x + drift * h + math.sqrt(beta * h) * z
+        np.testing.assert_array_equal(outside.states[:, k + 1], x)
+
+
 def test_nan_states_count_as_diverged():
     # a NaN norm never compares greater than the limit; it must still freeze
     from ddpmlab.bounds import girsanov_bound
