@@ -136,10 +136,12 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, values=values)
 
 
-def _number(cfg: ExperimentConfig, key: str, cast, default=None):
+def _number(cfg: ExperimentConfig, key: str, cast, default=None, low=None,
+            below=None):
     """The setting `key` (required without `default`) as a `cast` (int or float)
     value, or as a list of them (one value a list of one) when `default` is a
-    list.  Text, a bool, a fractional int or a list for one value is an error."""
+    list.  Text, a bool, a fractional int or a list for one value is an error,
+    and so is a value below `low` or at or above `below`, each when given."""
     value = cfg.require(key) if default is None else cfg.get(key, default)
     many = isinstance(default, list)
     values = value if many and isinstance(value, list) else [value]
@@ -148,6 +150,10 @@ def _number(cfg: ExperimentConfig, key: str, cast, default=None):
                 or (cast is int and isinstance(v, float) and not v.is_integer())):
             raise ConfigError(f"{key} must be {cast.__name__}, got {v!r}")
     values = [cast(v) for v in values]
+    for v in values:
+        if (low is not None and v < low) or (below is not None and v >= below):
+            span = f">= {low}" if below is None else f"in [{low}, {below})"
+            raise ConfigError(f"{key} must be {span}, got {v!r}")
     return values if many else values[0]
 
 
@@ -209,9 +215,11 @@ def _echo_config(cfg: ExperimentConfig, out_dir: str):
 
 
 def _sizes(cfg, *keys):
-    """The integer settings `keys` among paths, substeps and seed."""
-    defaults = {"paths": 20000, "substeps": 2, "seed": 7}
-    return [_number(cfg, key, int, defaults[key]) for key in keys]
+    """The integer settings `keys` among paths, substeps and seed: the counts
+    at least 1, the seed a 64-bit Philox key word."""
+    ranges = {"paths": (20000, 1, None), "substeps": (2, 1, None),
+              "seed": (7, 0, 2**64)}
+    return [_number(cfg, key, int, *ranges[key]) for key in keys]
 
 
 def _run_schedule_audit(cfg, out_dir, summary):
@@ -238,7 +246,7 @@ def _run_schedule_audit(cfg, out_dir, summary):
 def _run_identity(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     [seed] = _sizes(cfg, "seed")
-    samples = _number(cfg, "samples", int, 100000)
+    samples = _number(cfg, "samples", int, 100000, low=10)  # score_loss reads a tenth
     bias = _number(cfg, "bias", float, 1.0)
     rel_tol = _number(cfg, "rel_tol", float, 0.02)
     model = ScoreModel(target, schedule, mode="perturbed", bias=bias)
@@ -325,7 +333,7 @@ def _run_pde(cfg, out_dir, summary):
 def _run_sign_adjudication(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
-    subs = _number(cfg, "substeps_list", int, [128, 256, 512, 1024])
+    subs = _number(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1)
     if len(subs) < 2:
         raise ConfigError("substeps_list needs at least two entries to check refinement")
     t_index = _number(cfg, "t_index", int, 0)
@@ -377,7 +385,7 @@ def _run_tv_pipeline(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
     biases = _number(cfg, "biases", float, [0.0, 0.25, 0.5, 1.0])
-    samples = _number(cfg, "samples", int, 20000)
+    samples = _number(cfg, "samples", int, 20000, low=1)
     edges = metrics_mod.fd_bin_edges(target, paths)
     # drawn first, its noise block is the longest; every later batch is a prefix
     exact_batch = reverse_sde(target, schedule, substeps, paths, seed,

@@ -78,17 +78,21 @@ def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
 def _fresh_block(seed, start, count, steps, d, with_uniform):
     """One generator per chunk: assigning its fresh state keyed (seed, start + j)
     resets the counter and buffer, so path j draws exactly what
-    path_generator(seed, start + j) would."""
+    path_generator(seed, start + j) would.  The state is a dict of plain ints,
+    which the setter converts faster than numpy scalars."""
     normals = np.empty((count, steps, d))
     uniforms = np.empty(count) if with_uniform else None
     gen = path_generator(seed, start)
-    state = gen.bit_generator.state
-    for j in range(count):
-        state["state"]["key"][1] = start + j
-        gen.bit_generator.state = state
+    bit_generator, normal = gen.bit_generator, gen.standard_normal
+    key = [seed, start]
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for j, row in enumerate(normals):
+        key[1] = start + j
+        bit_generator.state = state
         if with_uniform:
             uniforms[j] = gen.random()
-        gen.standard_normal(out=normals[j])
+        normal(out=row)
     return uniforms, normals
 
 
@@ -290,7 +294,9 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     a chunk's states x to step(k, x, z, rows), with z the chunk's normal row
     for that step and `rows` the chunk's slice of the batch.  A path whose
     new state is not within `limit` in norm (NaN included) is frozen and
-    flagged in `diverged`.
+    flagged in `diverged`.  The per-path norms are taken only when a chunk
+    leaves the box max|x_i| <= limit / (2 sqrt(d)): inside it no norm exceeds
+    limit / 2 beyond rounding, so the rule flags no path (a NaN fails the box).
     record="full" keeps every state on `times` and the step noises;
     record="terminal" keeps the initial and final states only.
     """
@@ -300,6 +306,7 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
         raise ValueError("paths must be >= 1")
     steps = times.size - 1
     full = record == "full"
+    box = limit / (2.0 * math.sqrt(d))
     states = np.empty((paths, steps + 1 if full else 2, d))
     noises = np.empty((paths, steps, d)) if full else None
     diverged = np.zeros(paths, dtype=bool)
@@ -316,7 +323,8 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
             noises[rows] = z[:, 1:, :]
         for k in range(steps):
             x_new = step(k, x, z[:, k + 1, :], rows)
-            alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
+            if not (x_new.max() <= box and -x_new.min() <= box):
+                alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
             x = x_new if alive.all() else np.where(alive[:, None], x_new, x)
             if full:
                 states[rows, k + 1] = x

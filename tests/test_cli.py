@@ -747,8 +747,23 @@ def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
     ("experiment = tv-pipeline\nschedule.n = 10,20\n",
      "schedule.n must be int, got [10, 20]"),
     ("experiment = fbsde\nt_index = 1,2\n", "t_index must be int, got [1, 2]"),
+    # out of range: a count below 1, a seed that is no 64-bit Philox key word
+    ("experiment = tv-pipeline\npaths = 0\n", "paths must be >= 1, got 0"),
+    ("experiment = tv-pipeline\nsubsteps = 0\n", "substeps must be >= 1, got 0"),
+    ("experiment = tv-pipeline\nsamples = 0\n", "samples must be >= 1, got 0"),
+    ("experiment = tv-pipeline\nseed = -3\n",
+     "seed must be in [0, 18446744073709551616), got -3"),
+    ("experiment = fbsde\nseed = 18446744073709551616\n",
+     "seed must be in [0, 18446744073709551616), got 18446744073709551616"),
+    ("experiment = identity\nsamples = 5\n", "samples must be >= 10, got 5"),
+    ("experiment = sign-adjudication\nsubsteps_list = 0,4\n",
+     "substeps_list must be >= 1, got 0"),
+    ("experiment = sign-adjudication\nseed = -1\n",
+     "seed must be in [0, 18446744073709551616), got -1"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
-        "samples_list", "schedule_n_list", "t_index_list"])
+        "samples_list", "schedule_n_list", "t_index_list", "paths_0", "substeps_0",
+        "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
+        "substeps_list_0", "sign_seed_-1"])
 def test_malformed_numeric_settings_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                             text, message):
     monkeypatch.setattr(simulate, "path_generator",

@@ -175,13 +175,15 @@ def test_bit_determinism_and_chunk_invariance():
 def test_draw_block_matches_fresh_path_generators(with_uniform, d):
     # the chunk's one re-keyed generator must draw, path by path, exactly
     # what a freshly built path_generator(seed, start + j) draws
+    # (the seeds and the last start reach the top of the 64-bit key words)
     steps = 5
-    for start in (0, 5, 2**33):
+    for seed, start in [(11, s) for s in (0, 5, 2**33)] + [
+            (2**63 + 5, 2**64 - 8), (2**64 - 1, 0), (2**64 - 1, 2**64 - 8)]:
         for count in (1, 7):
-            u, z = _draw_block(11, start, count, steps, d, with_uniform)
+            u, z = _draw_block(seed, start, count, steps, d, with_uniform)
             want_u, want_z = [], []
             for j in range(count):
-                gen = path_generator(11, start + j)
+                gen = path_generator(seed, start + j)
                 if with_uniform:
                     want_u.append(gen.random())
                 want_z.append(gen.standard_normal((steps, d)))
@@ -398,33 +400,64 @@ def test_divergence_guard_reports_paths():
     assert np.all(np.isfinite(batch.states))
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("chunk", [None, 2, 7])
 def test_some_diverging_paths_freeze_at_their_last_in_limit_state(chunk):
     # paths grow by their own factor, so some leave the limit at different
-    # steps while others never do: a chunk runs all alive for a while, then not
+    # steps while others never do: a chunk runs all alive for a while, then not.
+    # Every other path instead steps to one fixed edge state of the norm rule,
+    # so at chunk 2 each edge shares its chunk with a growing path that stays
+    # inside the box max|x_i| <= limit / (2 sqrt(d)) for the first steps.
     from ddpmlab.simulate import _integrate
 
-    paths, steps, limit = 40, 12, 1e3
-    growth = np.linspace(0.5, 3.0, paths)[:, None]
+    steps, limit = 12, 1e3
+    for d in (1, 2, 3):
+        box = limit / (2.0 * math.sqrt(d))
 
-    def step(k, x, z, rows):
-        return growth[rows] * x + z
+        def on_axis(value):
+            return np.concatenate([[value], np.zeros(d - 1)])
 
-    batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), 1, step,
-                       "full", chunk, "test", limit=limit)
-    x = batch.states[:, 0].copy()
-    alive = np.ones(paths, dtype=bool)
-    frozen_at = np.full(paths, steps)
-    for k in range(steps):
-        cand = growth * x + batch.noises[:, k]
-        fresh = alive & (np.abs(cand[:, 0]) > limit)
-        frozen_at[fresh] = k
-        alive &= ~fresh
-        x[alive] = cand[alive]
-        np.testing.assert_array_equal(batch.states[:, k + 1], x)
-    np.testing.assert_array_equal(batch.diverged, ~alive)
-    assert 0 < batch.diverged.sum() < paths
-    assert np.unique(frozen_at[batch.diverged]).size > 1
+        # edge state -> whether the exact rule keeps it; at d >= 2 the diagonal
+        # state has every coordinate within limit
+        edges = {
+            "norm_at_limit": (on_axis(limit), True),
+            "norm_above_limit": (on_axis(np.nextafter(limit, np.inf)), False),
+            "just_outside_box": (on_axis(np.nextafter(box, np.inf)), True),
+            "diagonal_above_limit": (np.full(d, 1.001 * limit / math.sqrt(d)), False),
+            "nan": (on_axis(np.nan), False),
+            "inf": (np.full(d, np.inf), False),
+            "-inf": (on_axis(-np.inf), False),
+        }
+        paths = 41 + len(edges)  # even, so chunk 2 stays 2
+        edge_rows = np.arange(1, 2 * len(edges), 2)
+        is_edge = np.zeros(paths, dtype=bool)
+        is_edge[edge_rows] = True
+        edge = np.zeros((paths, d))
+        edge[edge_rows] = [state for state, _ in edges.values()]
+        growth = np.zeros((paths, 1))
+        growth[~is_edge, 0] = np.linspace(0.5, 3.0, 41)
+
+        def advance(x, z, rows=slice(None)):
+            return np.where(is_edge[rows, None], edge[rows], growth[rows] * x + z)
+
+        batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), d,
+                           lambda k, x, z, rows: advance(x, z, rows),
+                           "full", chunk, "test", limit=limit)
+        x = batch.states[:, 0].copy()
+        alive = np.ones(paths, dtype=bool)
+        frozen_at = np.full(paths, steps)
+        for k in range(steps):
+            cand = advance(x, batch.noises[:, k])
+            fresh = alive & ~(np.sqrt(np.sum(cand * cand, axis=-1)) <= limit)
+            frozen_at[fresh] = k
+            alive &= ~fresh
+            x[alive] = cand[alive]
+            np.testing.assert_array_equal(batch.states[:, k + 1], x)
+        np.testing.assert_array_equal(batch.diverged, ~alive)
+        assert batch.diverged[edge_rows].tolist() == [not kept for _, kept in
+                                                      edges.values()]
+        grown = batch.diverged & ~is_edge
+        assert 0 < grown.sum() < 41
+        assert np.unique(frozen_at[grown]).size > 1
 
 
 @pytest.mark.parametrize("substeps", [1, 2])
