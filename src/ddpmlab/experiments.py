@@ -494,7 +494,9 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute a parsed config; returns the process exit status (0/1).  The
-    run's batches share their noise blocks (`simulate._shared_noise`)."""
+    run's batches share their noise blocks (`simulate._shared_noise`).  The
+    seed is checked here for every experiment, read or not."""
+    _sizes(cfg, "seed")
     out_dir = out_dir or cfg.get("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     cfg.values["out"] = out_dir

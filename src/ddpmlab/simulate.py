@@ -47,9 +47,11 @@ _CHUNK_BUDGET = 8_000_000  # floats per (chunk x steps x d) noise block
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based substream for one path."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    """Counter-based substream for one path; seed and path index are the two
+    64-bit words of the Philox key."""
+    if not (0 <= seed < 2**64 and 0 <= path_index < 2**64):
+        raise ValueError(f"seed and path index must be in [0, 2**64), got "
+                         f"seed {seed}, path index {path_index}")
     key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -500,19 +500,20 @@ FOOTPRINT_CONFIGS = {
 def test_runs_never_import_scipy_stats(tmp_path):
     # scipy.stats imports about 430 modules; only bounds-sweep (spearmanr)
     # needs it, so a fresh interpreter running every other experiment must
-    # never load it
+    # never load it, nor any other scipy module (the normal CDF is numpy's)
     runs = []
     for experiment, text in FOOTPRINT_CONFIGS.items():
         cfg = write(tmp_path, f"{experiment}.cfg", f"experiment = {experiment}\n{text}")
         runs.append(["run", cfg, "--out", str(tmp_path / experiment)])
     script = ("import sys\nfrom ddpmlab.cli import main\n"
               f"codes = [main(argv) for argv in {runs!r}]\n"
-              "print(codes, 'scipy.stats' in sys.modules)\n")
+              "print(codes, 'scipy.stats' in sys.modules,\n"
+              "      any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddpmlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False False\n"
 
 
 def _count_reverse_sde(monkeypatch):
@@ -760,16 +761,29 @@ def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
      "substeps_list must be >= 1, got 0"),
     ("experiment = sign-adjudication\nseed = -1\n",
      "seed must be in [0, 18446744073709551616), got -1"),
+    # experiments that never read the seed check it all the same
+    ("experiment = pde\nt = 0.255\ngrid = 51\n--seed -1",
+     "seed must be in [0, 18446744073709551616), got -1"),
+    ("experiment = pde\nt = 0.255\ngrid = 51\nseed = 18446744073709551616\n",
+     "seed must be in [0, 18446744073709551616), got 18446744073709551616"),
+    ("experiment = schedule-audit\n--seed -1",
+     "seed must be in [0, 18446744073709551616), got -1"),
+    ("experiment = schedule-audit\nseed = 18446744073709551616\n",
+     "seed must be in [0, 18446744073709551616), got 18446744073709551616"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
         "samples_list", "schedule_n_list", "t_index_list", "paths_0", "substeps_0",
         "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
-        "substeps_list_0", "sign_seed_-1"])
+        "substeps_list_0", "sign_seed_-1", "pde_flag_seed_-1", "pde_seed_2**64",
+        "audit_flag_seed_-1", "audit_seed_2**64"])
 def test_malformed_numeric_settings_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                             text, message):
+    # a last line starting with -- holds command-line flags, not config text
     monkeypatch.setattr(simulate, "path_generator",
                         lambda *args: pytest.fail("simulated"))
+    text, _, flags = text.partition("--")
     cfg = write(tmp_path, "bad.cfg", text)
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    argv = ["run", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv + (f"--{flags}".split() if flags else [])) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -194,6 +194,15 @@ def test_draw_block_matches_fresh_path_generators(with_uniform, d):
                 assert u is None
 
 
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_path_generator_rejects_key_words_outside_64_bits(seed, index):
+    # seed and path index are the Philox key words: a ValueError naming the
+    # range, never numpy's OverflowError from the uint64 conversion
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\), got "
+                       rf"seed {seed}, path index {index}$"):
+        path_generator(seed, index)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 12), st.integers(0, 12), st.sampled_from([1, 2, 3]),
        st.booleans(), st.integers(0, 2**40), st.integers(1, 6))

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
+from ddpmlab import target as target_mod
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
 from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
@@ -522,6 +524,29 @@ def test_cdf_1d_matches_norm_cdf_bit_for_bit(target):
         z = (np.asarray(x)[..., None] - target.means[:, 0]) / math.sqrt(target.covariance[0, 0])
         assert np.array_equal(target.cdf_1d(x), norm.cdf(z) @ target.weights,
                               equal_nan=True)
+
+
+def _float_neighbours(points, ulps=64):
+    """Each point with the `ulps` doubles on either side of it."""
+    bits = np.asarray(points, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).view(np.float64).ravel()
+
+
+# the branch points a = ±1 (erf/erfc), ±√2 (erfc: 1 - erf/P-Q), ±8√2 (P-Q/R-S)
+# and the erfc underflow edge a = -√(2·MAXLOG) ≈ -37.68, with their neighbours
+NDTR_EDGES = np.concatenate([
+    _float_neighbours([1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0),
+                       8 * math.sqrt(2.0), -8 * math.sqrt(2.0),
+                       -math.sqrt(2.0 * target_mod._MAXLOG)]),
+    [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays(np.float64, st.integers(0, 64), elements=st.floats()))
+@example(NDTR_EDGES)
+def test_ndtr_port_matches_scipy_bit_for_bit(x):
+    # any double: subnormals, infinities and NaNs included
+    assert np.array_equal(target_mod._ndtr(x), ndtr(x), equal_nan=True)
 
 
 @pytest.mark.parametrize("top", [1e8, 1e9])
