@@ -140,8 +140,8 @@ def _number(cfg: ExperimentConfig, key: str, cast, default=None, low=None,
             below=None):
     """The setting `key` (required without `default`) as a `cast` (int or float)
     value, or as a list of them (one value a list of one) when `default` is a
-    list.  Text, a bool, a fractional int or a list for one value is an error,
-    and so is a value below `low` or at or above `below`, each when given."""
+    list.  Text, a bool, a fractional int, a NaN or infinite float or a list for
+    one value is an error, and so is a value below `low` or at or above `below`."""
     value = cfg.require(key) if default is None else cfg.get(key, default)
     many = isinstance(default, list)
     values = value if many and isinstance(value, list) else [value]
@@ -151,6 +151,8 @@ def _number(cfg: ExperimentConfig, key: str, cast, default=None, low=None,
             raise ConfigError(f"{key} must be {cast.__name__}, got {v!r}")
     values = [cast(v) for v in values]
     for v in values:
+        if cast is float and not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v!r}")
         if (low is not None and v < low) or (below is not None and v >= below):
             span = f">= {low}" if below is None else f"in [{low}, {below})"
             raise ConfigError(f"{key} must be {span}, got {v!r}")
@@ -429,6 +431,18 @@ def _run_tv_pipeline(cfg, out_dir, summary):
     metrics_mod.write_metric_report(os.path.join(out_dir, "tv_report.csv"), tv_rows)
 
 
+def _rank_correlation(a, b):
+    """Spearman's rho, equal to the bit to `spearmanr(a, b).statistic`: Pearson's r
+    of the average ranks stacked as columns; NaN for a NaN or constant input."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.isnan([a, b]).any():
+        return math.nan
+    ra, rb = (np.sum(x[:, None] > x, 1) + (np.sum(x[:, None] == x, 1) + 1) / 2
+              for x in (a, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
+
+
 def _run_bounds_sweep(cfg, out_dir, summary):
     target = _build_target(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
@@ -464,9 +478,7 @@ def _run_bounds_sweep(cfg, out_dir, summary):
         summary.check(f"tv_nonincreasing_n{n_list[i]}_to_n{n_list[i + 1]}",
                       hi[0] <= lo[0] + 3.0 * math.hypot(lo[1], hi[1]),
                       f"tv={lo[0]:.4g} -> {hi[0]:.4g}")
-    from scipy.stats import spearmanr
-
-    rho = float(spearmanr([-c for c in composites], [-t for t, _ in tvs]).statistic)
+    rho = _rank_correlation([-c for c in composites], [-t for t, _ in tvs])
     summary.report("rank_correlation_composite_vs_tv", f"{rho:.4f}")
     summary.check("rank_correlation", rho >= 0.9, f"rho={rho:.4f}")
     if totals:

@@ -8,6 +8,9 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 import ddpmlab
 from ddpmlab import bounds, experiments, simulate
@@ -494,26 +497,46 @@ FOOTPRINT_CONFIGS = {
                          "schedule.n = 4\npaths = 20\nsubsteps_list = 2,4\ngrid = 51\n",
     "tv-pipeline": "schedule.kind = constant\nschedule.n = 10\npaths = 200\n"
                    "samples = 200\nbiases = 0.5\n",
+    "bounds-sweep": "n_list = 5,10\npaths = 200\n",
 }
 
 
 def test_runs_never_import_scipy_stats(tmp_path):
-    # scipy.stats imports about 430 modules; only bounds-sweep (spearmanr)
-    # needs it, so a fresh interpreter running every other experiment must
-    # never load it, nor any other scipy module (the normal CDF is numpy's)
+    # scipy is a test dependency only: every experiment runs in a fresh
+    # interpreter where importing any scipy module raises, and none is loaded
     runs = []
     for experiment, text in FOOTPRINT_CONFIGS.items():
         cfg = write(tmp_path, f"{experiment}.cfg", f"experiment = {experiment}\n{text}")
         runs.append(["run", cfg, "--out", str(tmp_path / experiment)])
-    script = ("import sys\nfrom ddpmlab.cli import main\n"
+    script = ("import sys\nsys.modules['scipy'] = None\nfrom ddpmlab.cli import main\n"
               f"codes = [main(argv) for argv in {runs!r}]\n"
-              "print(codes, 'scipy.stats' in sys.modules,\n"
-              "      any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n")
+              "print(codes, sorted(m for m, module in sys.modules.items()\n"
+              "                    if m.partition('.')[0] == 'scipy' and module))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddpmlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False False\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+def _samples(elements):
+    return st.integers(2, 8).flatmap(
+        lambda n: st.tuples(*[st.lists(elements, min_size=n, max_size=n)] * 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_samples(st.integers(0, 3).map(float)), _samples(st.floats())))
+@example(([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))  # a constant input
+@example(([0.5, math.nan, 2.0], [0.0, 1.0, 2.0]))
+@example(([math.inf, -math.inf, 0.0, math.inf], [3.0, 1.0, 2.0, 0.0]))
+@example(([2.0, 1.0], [1.0, 2.0]))
+def test_rank_correlation_matches_spearmanr_bit_for_bit(ab):
+    # ties (values from a small integer set) and any double, infinities and
+    # NaNs included; NaN where spearmanr gives NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # spearmanr warns on a constant input
+        expected = float(spearmanr(*ab).statistic)
+    assert repr(experiments._rank_correlation(*ab)) == repr(expected)
 
 
 def _count_reverse_sde(monkeypatch):
@@ -770,11 +793,20 @@ def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
      "seed must be in [0, 18446744073709551616), got -1"),
     ("experiment = schedule-audit\nseed = 18446744073709551616\n",
      "seed must be in [0, 18446744073709551616), got 18446744073709551616"),
+    # nan and inf parse as floats, but no setting takes them
+    ("experiment = tv-pipeline\ntarget.separation = nan\n",
+     "target.separation must be finite, got nan"),
+    ("experiment = bounds-sweep\nschedule.total = inf\n",
+     "schedule.total must be finite, got inf"),
+    ("experiment = identity\nrel_tol = nan\n", "rel_tol must be finite, got nan"),
+    ("experiment = tv-pipeline\nbiases = 0,nan\n", "biases must be finite, got nan"),
+    ("experiment = pde\nt = nan\n", "t must be finite, got nan"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
         "samples_list", "schedule_n_list", "t_index_list", "paths_0", "substeps_0",
         "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
         "substeps_list_0", "sign_seed_-1", "pde_flag_seed_-1", "pde_seed_2**64",
-        "audit_flag_seed_-1", "audit_seed_2**64"])
+        "audit_flag_seed_-1", "audit_seed_2**64", "separation_nan", "total_inf",
+        "rel_tol_nan", "biases_nan", "pde_t_nan"])
 def test_malformed_numeric_settings_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                             text, message):
     # a last line starting with -- holds command-line flags, not config text

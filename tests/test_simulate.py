@@ -125,6 +125,42 @@ def test_ddpm_exact_score_standard_gaussian_variance_recursion():
     assert term_var == pytest.approx(v, rel=0.05)
 
 
+def _ddpm_gaussian_law(mean, var, schedule, bias, final_noise):
+    """Terminal mean and variance of ddpm_sample on the 1-D target N(mean, var)
+    with the score shifted by `bias`.  The marginal p_i is N(sqrt(abar_i) mean,
+    v_i) with v_i = abar_i var + 1 - abar_i, so each step is affine:
+    x -> a_i x + c_i + sigma_i xi from N(0, 1), sigma_1 dropped without final
+    noise."""
+    m, v = 0.0, 1.0
+    for i in range(schedule.n, 0, -1):
+        alpha, abar = schedule.alphas[i - 1], schedule.alpha_bars[i - 1]
+        v_i = abar * var + 1.0 - abar
+        a = (1.0 - (1.0 - alpha) / v_i) / math.sqrt(alpha)
+        c = (1.0 - alpha) * (math.sqrt(abar) * mean / v_i + bias) / math.sqrt(alpha)
+        noise = schedule.sigmas[i - 1] ** 2 if i > 1 or final_noise else 0.0
+        m, v = a * m + c, a * a * v + noise
+    return m, v
+
+
+@pytest.mark.parametrize("schedule", [constant_rate(10, 4.0), constant_rate(100, 4.0),
+                                      from_linear_variance(100, 1e-4, 0.02)],
+                         ids=["const10", "const100", "lin100"])
+@pytest.mark.parametrize("bias", [0.0, 0.5])
+@pytest.mark.parametrize("final_noise", [True, False])
+def test_ddpm_terminal_law_matches_the_gaussian_closed_form(schedule, bias, final_noise):
+    # the terminal law is Gaussian, so the sample variance has SE v sqrt(2/(N-1))
+    mean, var, paths = 1.5, 4.0, 40000
+    model = ScoreModel(gaussian_target([mean], [[1.0 / var]]), schedule,
+                       mode="perturbed", bias=bias)
+    batch = ddpm_sample(model, schedule, paths, seed=3, final_noise=final_noise,
+                        record="terminal")
+    x = batch.terminal_states[:, 0]
+    m, v = _ddpm_gaussian_law(mean, var, schedule, bias, final_noise)
+    assert not batch.diverged.any()
+    assert abs(x.mean() - m) <= 4.0 * math.sqrt(v / paths)
+    assert abs(x.var(ddof=1) - v) <= 4.0 * v * math.sqrt(2.0 / (paths - 1))
+
+
 def test_zero_score_terminal_moment_recursion():
     model = ScoreModel(MIX, SCHED, mode="zero")
     batch = reverse_sde(model, SCHED, 1, 30000, seed=8, score_mode="model")
