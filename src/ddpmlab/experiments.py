@@ -149,7 +149,10 @@ def _number(cfg: ExperimentConfig, key: str, cast, default=None, low=None,
         if (isinstance(v, bool) or not isinstance(v, (int, float))
                 or (cast is int and isinstance(v, float) and not v.is_integer())):
             raise ConfigError(f"{key} must be {cast.__name__}, got {v!r}")
-    values = [cast(v) for v in values]
+    try:
+        values = [cast(v) for v in values]
+    except OverflowError:  # an int literal beyond the largest double
+        raise ConfigError(f"{key} must be finite, got an int beyond 1.8e308") from None
     for v in values:
         if cast is float and not math.isfinite(v):
             raise ConfigError(f"{key} must be finite, got {v!r}")

@@ -14,12 +14,14 @@ the first k normal rows of a path do not depend on how many rows follow, so
 a 101-step block is exactly the first 101 rows of the 201-step block of the
 same paths.  Within `_shared_noise` (entered once per `experiments.run`),
 `_draw_block` draws each path range once and serves later requests for it
-as read-only prefixes; outside it every call draws afresh.
+as read-only prefixes.  Outside it, a block is served the same way while a
+one-chunk record="full" batch still views it as its `noises`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -68,6 +70,9 @@ def _kept_paths(name: str, diverged, detail: str = "") -> np.ndarray:
 
 
 def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
+    if chunk is not None and (isinstance(chunk, bool) or not isinstance(
+            chunk, (int, np.integer)) or chunk < 1):
+        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
     # no chunk, the last included, holds one path of several: numpy hands a
     # one-row product to BLAS's vector kernel, which rounds differently
     size = (max(256, min(paths, _CHUNK_BUDGET // max(1, steps * d)))
@@ -98,6 +103,8 @@ def _fresh_block(seed, start, count, steps, d, with_uniform):
     return uniforms, normals
 
 
+# outside a run: (seed, start, count, d) -> normals that some batch still views
+_live = weakref.WeakValueDictionary()
 # blocks drawn in the current run: (seed, start, count, d, with_uniform) ->
 # (uniforms, normals), oldest first; None outside _shared_noise
 _blocks: ContextVar[dict | None] = ContextVar("ddpmlab_noise_blocks", default=None)
@@ -117,14 +124,21 @@ def _draw_block(seed, start, count, steps, d, with_uniform=False):
     """Per-path draws for paths [start, start+count): normals (count, steps, d)
     and optionally one leading uniform per path, drawn by `_fresh_block`.
 
-    Within `_shared_noise` the blocks are memoised by (seed, start, count, d,
-    with_uniform) and served read-only: a request no longer than the block
-    held gets its first `steps` rows, and a longer one drops the held block
-    before drawing its own.  The memo holds at most _CHUNK_BUDGET floats,
-    dropping its oldest blocks to make room; a larger block is not kept."""
+    A held block serves a request no longer than it, read-only, with its
+    first `steps` rows.  Within `_shared_noise` a longer request drops it
+    before drawing, and the memo keeps at most _CHUNK_BUDGET floats, oldest
+    out first (a larger block is not kept).  Outside it, a uniform-less
+    block is held in `_live` while some batch views it."""
     memo = _blocks.get()
-    if memo is None:
+    if memo is None and with_uniform:  # only a forward_chain could read it
         return _fresh_block(seed, start, count, steps, d, with_uniform)
+    if memo is None:
+        normals = _live.get((seed, start, count, d))
+        if normals is None or normals.shape[1] < steps:
+            _, normals = _fresh_block(seed, start, count, steps, d, False)
+            normals.flags.writeable = False
+            _live[seed, start, count, d] = normals
+        return None, normals[:, :steps]
     key = (seed, start, count, d, with_uniform)
     if key in memo and memo[key][1].shape[1] >= steps:
         uniforms, normals = memo[key]
@@ -148,8 +162,8 @@ class TrajectoryBatch:
     """Simulated paths on a time grid, with the driving noise retained.
 
     states has shape (paths, len(times), d); noises, when retained, holds the
-    standard-normal step draws with shape (paths, len(times)-1, d); diverged
-    flags the paths frozen for leaving the norm limit.
+    step draws (paths, len(times)-1, d), read-only and maybe viewing a shared
+    block; diverged flags the paths frozen for leaving the norm limit.
     """
 
     times: np.ndarray
@@ -309,10 +323,10 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     steps = times.size - 1
     full = record == "full"
     box = limit / (2.0 * math.sqrt(d))
-    states = np.empty((paths, steps + 1 if full else 2, d))
-    noises = np.empty((paths, steps, d)) if full else None
-    diverged = np.zeros(paths, dtype=bool)
     csize = _chunk_size(paths, steps + 1, d, chunk)
+    states = np.empty((paths, steps + 1 if full else 2, d))
+    noises = np.empty((paths, steps, d)) if full and csize < paths else None
+    diverged = np.zeros(paths, dtype=bool)
     for begin in range(0, paths, csize):
         count = min(csize, paths - begin)
         u, z = _draw_block(seed, begin, count, steps + 1, d,
@@ -321,7 +335,7 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
         alive = np.ones(count, dtype=bool)
         rows = slice(begin, begin + count)
         states[rows, 0] = x
-        if full:
+        if noises is not None:
             noises[rows] = z[:, 1:, :]
         for k in range(steps):
             x_new = step(k, x, z[:, k + 1, :], rows)
@@ -333,6 +347,9 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
         if not full:
             states[rows, 1] = x
         diverged[rows] = ~alive
+    if full:  # one chunk lends the batch its block; several were copied
+        noises = z[:, 1:, :] if noises is None else noises
+        noises.flags.writeable = False
     return TrajectoryBatch(times=times if full else np.array([0.0, 1.0]),
                            states=states, noises=noises, direction=direction,
                            diverged=diverged)

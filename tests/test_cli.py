@@ -801,12 +801,17 @@ def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
     ("experiment = identity\nrel_tol = nan\n", "rel_tol must be finite, got nan"),
     ("experiment = tv-pipeline\nbiases = 0,nan\n", "biases must be finite, got nan"),
     ("experiment = pde\nt = nan\n", "t must be finite, got nan"),
+    # an int literal beyond the largest double cannot become a float setting
+    ("experiment = identity\nbias = 1" + "0" * 400 + "\n",
+     "bias must be finite, got an int beyond 1.8e308"),
+    ("experiment = tv-pipeline\nbiases = 0,-2" + "0" * 400 + "\n",
+     "biases must be finite, got an int beyond 1.8e308"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
         "samples_list", "schedule_n_list", "t_index_list", "paths_0", "substeps_0",
         "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
         "substeps_list_0", "sign_seed_-1", "pde_flag_seed_-1", "pde_seed_2**64",
         "audit_flag_seed_-1", "audit_seed_2**64", "separation_nan", "total_inf",
-        "rel_tol_nan", "biases_nan", "pde_t_nan"])
+        "rel_tol_nan", "biases_nan", "pde_t_nan", "bias_10**400", "biases_-2e400"])
 def test_malformed_numeric_settings_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                             text, message):
     # a last line starting with -- holds command-line flags, not config text

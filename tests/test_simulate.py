@@ -1,14 +1,19 @@
+import gc
 import math
 import os
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddpmlab import simulate
+from ddpmlab.bounds import girsanov_bound
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import (ScoreModel, _draw_block, _shared_noise, ddpm_sample,
-                              forward_chain, growth_clip, path_generator,
+from ddpmlab.simulate import (ScoreModel, _chunk_size, _draw_block, _shared_noise,
+                              ddpm_sample, forward_chain, growth_clip, path_generator,
                               reverse_sde, reverse_transition_density,
                               save_trajectories)
 from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
@@ -383,6 +388,128 @@ def test_samplers_reject_unknown_record_and_empty_batches(sampler):
         run(10, "Full")
     with pytest.raises(ValueError, match="paths must be >= 1"):
         run(0, "full")
+
+
+CHUNK_CALLS = {
+    "forward": lambda c: forward_chain(MIX, SCHED, 10, 1, chunk=c),
+    "ddpm": lambda c: ddpm_sample(PERT, SCHED, 10, 1, chunk=c),
+    "reverse_exact": lambda c: reverse_sde(MIX, SCHED, 2, 10, 1, chunk=c),
+    "reverse_model": lambda c: reverse_sde(PERT, SCHED, 2, 10, 1,
+                                           score_mode="model", chunk=c),
+    "girsanov_bound": lambda c: girsanov_bound(MIX, SCHED, PERT, 10, 2, 1, chunk=c),
+}
+
+
+@pytest.mark.parametrize("chunk", [0, -5, 2.7, True, False, "3", np.float64(3.0)],
+                         ids=["0", "-5", "2.7", "True", "False", "str", "float64"])
+@pytest.mark.parametrize("call", sorted(CHUNK_CALLS))
+def test_chunk_must_be_an_int_of_at_least_one(monkeypatch, call, chunk):
+    # a bool, a fraction or a size below 1 used to become a chunk of 2
+    monkeypatch.setattr(simulate, "path_generator",
+                        lambda *args: pytest.fail("drew noise"))
+    with pytest.raises(ValueError, match=rf"^chunk must be an int >= 1, got "
+                       rf"{re.escape(repr(chunk))}$"):
+        CHUNK_CALLS[call](chunk)
+
+
+def test_chunk_of_one_rounds_up_to_two_and_numpy_ints_are_accepted():
+    assert [_chunk_size(12, 5, 1, c) for c in (1, np.int64(1), np.int32(3))] == [2, 2, 3]
+    want = CHUNK_CALLS["ddpm"](None).states
+    for chunk in (1, np.int64(3)):
+        np.testing.assert_array_equal(CHUNK_CALLS["ddpm"](chunk).states, want)
+
+
+# rows each sampler draws per path on SCHED's 20 steps; only forward_chain's
+# blocks lead with a uniform
+LOOKUP_ROWS = {"forward": 21, "ddpm": 21, "reverse_model_1": 21,
+               "reverse_model_2": 41, "reverse_exact": 41}
+LOOKUP_SEED = 70117
+
+
+def _lookup_batch(name, target, record, chunk):
+    """40 paths at LOOKUP_SEED on SCHED; chunk 7 splits them in 6 chunks."""
+    model = ScoreModel(target, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
+    if name == "forward":
+        return forward_chain(target, SCHED, 40, LOOKUP_SEED, record=record, chunk=chunk)
+    if name == "ddpm":
+        return ddpm_sample(model, SCHED, 40, LOOKUP_SEED, record=record, chunk=chunk)
+    if name == "reverse_exact":
+        return reverse_sde(target, SCHED, 2, 40, LOOKUP_SEED, record=record,
+                           chunk=chunk)
+    return reverse_sde(model, SCHED, int(name[-1]), 40, LOOKUP_SEED,
+                       score_mode="model", record=record, chunk=chunk)
+
+
+def _held_blocks():
+    """Blocks of LOOKUP_SEED that the live lookup holds."""
+    return sum(key[0] == LOOKUP_SEED for key in list(simulate._live))
+
+
+def _batch_bytes(batch):
+    return (batch.states.tobytes(), batch.diverged.tobytes(),
+            None if batch.noises is None else batch.noises.tobytes())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(sorted(LOOKUP_ROWS)),
+                          st.sampled_from(["full", "terminal"]),
+                          st.sampled_from([None, 7])), min_size=1, max_size=6))
+def test_draw_block_lends_live_blocks_byte_identically(d, calls):
+    # a one-chunk uniform-less block that a live record="full" batch views
+    # serves any later call on the same seed, paths and d that needs no more
+    # rows; every batch is byte-identical to the same call with no block held
+    target = _anisotropic_mixture(d, d, 3, 0.5)
+    want = {}
+    for call in set(calls):
+        assert _held_blocks() == 0
+        want[call] = _batch_bytes(_lookup_batch(call[0], target, *call[1:]))
+    held, entry = [], None  # entry: (rows, index in held) of the block lent
+    with mock.patch.object(simulate, "_fresh_block",
+                           wraps=simulate._fresh_block) as fresh:
+        for name, record, chunk in calls:
+            rows, drawn = LOOKUP_ROWS[name], fresh.call_count
+            batch = _lookup_batch(name, target, record, chunk)
+            assert _batch_bytes(batch) == want[name, record, chunk]
+            chunks = -(-40 // _chunk_size(40, rows, d, chunk))
+            lookup = name != "forward" and chunks == 1
+            lent = lookup and entry is not None and entry[0] >= rows
+            assert fresh.call_count - drawn == (0 if lent else chunks)
+            if record == "full":
+                assert not batch.noises.flags.writeable
+                if lent:
+                    assert np.shares_memory(batch.noises, held[entry[1]].noises)
+                else:
+                    assert not any(np.shares_memory(batch.noises, b.noises)
+                                   for b in held if b.noises is not None)
+            else:
+                assert batch.noises is None
+            if lookup and not lent:  # a terminal batch's block dies with the call
+                entry = (rows, len(held)) if record == "full" else None
+            held.append(batch)
+            assert _held_blocks() == (entry is not None)
+    del batch, held
+    gc.collect()
+    assert _held_blocks() == 0
+
+
+def test_draw_block_terminal_batches_hold_no_block():
+    for name in sorted(LOOKUP_ROWS):
+        batch = _lookup_batch(name, MIX, "terminal", None)
+        assert batch.noises is None and _held_blocks() == 0
+    # a full batch lends its block only while it lives
+    batch = _lookup_batch("ddpm", MIX, "full", None)
+    assert _held_blocks() == 1
+    del batch
+    assert _held_blocks() == 0
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(LOOKUP_ROWS))
+def test_noises_are_read_only_at_one_chunk_and_at_many(name, chunk):
+    batch = _lookup_batch(name, MIX, "full", chunk)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.noises[0, 0] = 0.0
 
 
 def test_score_model_schedule_mismatch_rejected():
