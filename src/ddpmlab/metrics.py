@@ -87,14 +87,6 @@ def kl(p: DensityGrid, q: DensityGrid):
     return val, floored
 
 
-def _target_iqr(target: GaussianMixtureDensity) -> float:
-    axis = default_axis(target, 4001)
-    cdf = target.cdf_1d(axis)
-    lo = float(np.interp(0.25, cdf, axis))
-    hi = float(np.interp(0.75, cdf, axis))
-    return hi - lo
-
-
 def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int) -> np.ndarray:
     """Freedman-Diaconis bin edges derived from the analytic target (1D).
 
@@ -104,7 +96,7 @@ def fd_bin_edges(target: GaussianMixtureDensity, n_samples: int) -> np.ndarray:
     _require_d("fd_bin_edges", target.d, 1)
     axis = default_axis(target)
     lo, hi = float(axis[0]), float(axis[-1])
-    width = 2.0 * _target_iqr(target) / max(n_samples, 1) ** (1.0 / 3.0)
+    width = 2.0 * target._iqr_1d / max(n_samples, 1) ** (1.0 / 3.0)
     bins = max(64, int(math.ceil((hi - lo) / width)))
     return np.linspace(lo, hi, bins + 1)
 
@@ -183,7 +175,7 @@ def _forward_marginals(target: MixtureTarget, schedule: NoiseSchedule,
     x_i = m x0 + sig Z has law_i: m = sqrt(abar_i), sig = sqrt(1 - abar_i)."""
     _check_schedule(score_model, schedule)
     u, draws = _draw_block(seed, 0, samples, 2, target.d, with_uniform=True)
-    x0, z = target._from_draws(u, draws[:, 0, :]), draws[:, 1, :]
+    x0, z = target._from_draws(u, draws[0]), draws[1]
     abars = schedule.alpha_bars
     for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
         yield i, law, math.sqrt(abars[i - 1]), math.sqrt(1.0 - abars[i - 1]), x0, z

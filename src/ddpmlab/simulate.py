@@ -12,7 +12,10 @@ freshly built per-path generator exactly.
 The same key and counter also make every stream a prefix of any longer one:
 the first k normal rows of a path do not depend on how many rows follow, so
 a 101-step block is exactly the first 101 rows of the 201-step block of the
-same paths.  Within `_shared_noise` (entered once per `experiments.run`),
+same paths.  Blocks are time-major, (steps, paths, d), so a prefix is a
+contiguous slab, and so are the buffers a batch records into: each step
+reads and writes one contiguous row, and the batch's states and noises
+view the buffers transposed.  Within `_shared_noise` (entered once per `experiments.run`),
 `_draw_block` draws each path range once and serves later requests for it
 as read-only prefixes.  Outside it, a block is served the same way while a
 one-chunk record="full" batch still views it as its `noises`.
@@ -45,7 +48,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6
-_CHUNK_BUDGET = 8_000_000  # floats per (chunk x steps x d) noise block
+_CHUNK_BUDGET = 8_000_000  # floats per (steps x chunk x d) noise block
+_TILE = 32_768  # floats of the path-major tile each block is drawn through
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -84,22 +88,27 @@ def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
 
 def _fresh_block(seed, start, count, steps, d, with_uniform):
     """One generator per chunk: assigning its fresh state keyed (seed, start + j)
-    resets the counter and buffer, so path j draws exactly what
-    path_generator(seed, start + j) would.  The state is a dict of plain ints,
-    which the setter converts faster than numpy scalars."""
-    normals = np.empty((count, steps, d))
+    resets the counter and buffer, so column j of the (steps, count, d) block
+    is what path_generator(seed, start + j) draws, drawn into a row of a tile
+    (_TILE floats, or one path) that is copied transposed.  The state is a
+    dict of plain ints, which the setter converts faster than numpy scalars."""
+    normals = np.empty((steps, count, d))
     uniforms = np.empty(count) if with_uniform else None
+    tile = np.empty((max(1, min(count, _TILE // (steps * d))), steps, d))
     gen = path_generator(seed, start)
     bit_generator, normal = gen.bit_generator, gen.standard_normal
     key = [seed, start]
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for j, row in enumerate(normals):
-        key[1] = start + j
-        bit_generator.state = state
-        if with_uniform:
-            uniforms[j] = gen.random()
-        normal(out=row)
+    for first in range(0, count, len(tile)):
+        rows = tile[:count - first]
+        for j, row in enumerate(rows, first):
+            key[1] = start + j
+            bit_generator.state = state
+            if with_uniform:
+                uniforms[j] = gen.random()
+            normal(out=row)
+        normals[:, first:first + len(rows)] = rows.transpose(1, 0, 2)
     return uniforms, normals
 
 
@@ -121,28 +130,29 @@ def _shared_noise():
 
 
 def _draw_block(seed, start, count, steps, d, with_uniform=False):
-    """Per-path draws for paths [start, start+count): normals (count, steps, d)
+    """Per-path draws for paths [start, start+count): normals (steps, count, d)
     and optionally one leading uniform per path, drawn by `_fresh_block`.
 
     A held block serves a request no longer than it, read-only, with its
-    first `steps` rows.  Within `_shared_noise` a longer request drops it
-    before drawing, and the memo keeps at most _CHUNK_BUDGET floats, oldest
-    out first (a larger block is not kept).  Outside it, a uniform-less
-    block is held in `_live` while some batch views it."""
+    first `steps` rows: the contiguous slab normals[:steps].  Within
+    `_shared_noise` a longer request drops it before drawing, and the memo
+    keeps at most _CHUNK_BUDGET floats, oldest out first (a larger block is
+    not kept).  Outside it, a uniform-less block is held in `_live` while
+    some batch views it."""
     memo = _blocks.get()
     if memo is None and with_uniform:  # only a forward_chain could read it
         return _fresh_block(seed, start, count, steps, d, with_uniform)
     if memo is None:
         normals = _live.get((seed, start, count, d))
-        if normals is None or normals.shape[1] < steps:
+        if normals is None or normals.shape[0] < steps:
             _, normals = _fresh_block(seed, start, count, steps, d, False)
             normals.flags.writeable = False
             _live[seed, start, count, d] = normals
-        return None, normals[:, :steps]
+        return None, normals[:steps]
     key = (seed, start, count, d, with_uniform)
-    if key in memo and memo[key][1].shape[1] >= steps:
+    if key in memo and memo[key][1].shape[0] >= steps:
         uniforms, normals = memo[key]
-        return uniforms, normals[:, :steps]
+        return uniforms, normals[:steps]
     memo.pop(key, None)
     size = count * (steps * d + with_uniform)
     while memo and size + sum(z.size + (0 if u is None else u.size)
@@ -163,7 +173,9 @@ class TrajectoryBatch:
 
     states has shape (paths, len(times), d); noises, when retained, holds the
     step draws (paths, len(times)-1, d), read-only and maybe viewing a shared
-    block; diverged flags the paths frozen for leaving the norm limit.
+    block.  Both are transposed views of time-major buffers, so states[:, k]
+    is contiguous; np.ascontiguousarray gives a path-major copy.  diverged
+    flags the paths frozen for leaving the norm limit.
     """
 
     times: np.ndarray
@@ -313,8 +325,8 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     flagged in `diverged`.  The per-path norms are taken only when a chunk
     leaves the box max|x_i| <= limit / (2 sqrt(d)): inside it no norm exceeds
     limit / 2 beyond rounding, so the rule flags no path (a NaN fails the box).
-    record="full" keeps every state on `times` and the step noises;
-    record="terminal" keeps the initial and final states only.
+    record="full" keeps every state on `times` and the step noises z[1:],
+    record="terminal" the first and last states: time-major, viewed transposed.
     """
     if record not in ("full", "terminal"):
         raise ValueError(f"record must be 'full' or 'terminal', got {record!r}")
@@ -324,35 +336,35 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     full = record == "full"
     box = limit / (2.0 * math.sqrt(d))
     csize = _chunk_size(paths, steps + 1, d, chunk)
-    states = np.empty((paths, steps + 1 if full else 2, d))
-    noises = np.empty((paths, steps, d)) if full and csize < paths else None
+    states = np.empty((steps + 1 if full else 2, paths, d))
+    noises = np.empty((steps, paths, d)) if full and csize < paths else None
     diverged = np.zeros(paths, dtype=bool)
     for begin in range(0, paths, csize):
         count = min(csize, paths - begin)
         u, z = _draw_block(seed, begin, count, steps + 1, d,
                            with_uniform=start_state is not None)
-        x = z[:, 0, :].copy() if start_state is None else start_state(u, z[:, 0, :])
+        x = z[0].copy() if start_state is None else start_state(u, z[0])
         alive = np.ones(count, dtype=bool)
         rows = slice(begin, begin + count)
-        states[rows, 0] = x
+        states[0, rows] = x
         if noises is not None:
-            noises[rows] = z[:, 1:, :]
+            noises[:, rows] = z[1:]
         for k in range(steps):
-            x_new = step(k, x, z[:, k + 1, :], rows)
+            x_new = step(k, x, z[k + 1], rows)
             if not (x_new.max() <= box and -x_new.min() <= box):
                 alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
             x = x_new if alive.all() else np.where(alive[:, None], x_new, x)
             if full:
-                states[rows, k + 1] = x
+                states[k + 1, rows] = x
         if not full:
-            states[rows, 1] = x
+            states[1, rows] = x
         diverged[rows] = ~alive
     if full:  # one chunk lends the batch its block; several were copied
-        noises = z[:, 1:, :] if noises is None else noises
+        noises = (z[1:] if noises is None else noises).transpose(1, 0, 2)
         noises.flags.writeable = False
     return TrajectoryBatch(times=times if full else np.array([0.0, 1.0]),
-                           states=states, noises=noises, direction=direction,
-                           diverged=diverged)
+                           states=states.transpose(1, 0, 2), noises=noises,
+                           direction=direction, diverged=diverged)
 
 
 def _check_schedule(score_model: ScoreModel, schedule: NoiseSchedule) -> None:

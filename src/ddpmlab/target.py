@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -286,6 +287,13 @@ class GaussianMixtureDensity:
         std = math.sqrt(self.covariance[0, 0])
         z = (x[..., None] - self.means[:, 0]) / std
         return _ndtr(z) @ self.weights
+
+    @cached_property
+    def _iqr_1d(self) -> float:
+        """Interquartile range (1D) off a 4001-point CDF grid, built once."""
+        axis = default_axis(self, 4001)
+        lo, hi = np.interp([0.25, 0.75], self.cdf_1d(axis), axis)
+        return float(hi - lo)
 
 
 class MixtureTarget(GaussianMixtureDensity):

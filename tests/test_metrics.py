@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ddpmlab.experiments import parse_config, run
 from ddpmlab.metrics import (DensityGrid, denoise_identity_check,
                              fd_bin_edges, grid_from_density, kl,
                              score_growth_audit, score_loss,
@@ -11,8 +12,8 @@ from ddpmlab.metrics import (DensityGrid, denoise_identity_check,
                              write_metric_report)
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import ScoreModel, growth_clip, path_generator
-from ddpmlab.target import (MixtureTarget, default_axis, gaussian_target,
-                            growth_constants, symmetric_mixture)
+from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
+                            gaussian_target, growth_constants, symmetric_mixture)
 
 MIX = symmetric_mixture()
 SCHED = from_linear_variance(50, 1e-3, 0.05)
@@ -87,6 +88,35 @@ def test_density_grid_mass_tracking():
 def test_fd_bins_floor():
     edges = fd_bin_edges(MIX, 100)
     assert edges.size - 1 >= 64
+
+
+def test_fd_bin_edges_build_one_cdf_grid_per_target(tmp_path, monkeypatch):
+    # the IQR belongs to the immutable target: a tv-pipeline run's four
+    # fd_bin_edges calls (its own, two girsanov_bound and one
+    # schrodinger_bound) build one 4001-point CDF grid, and the histogram TVs
+    # still read cdf_1d at the bin edges
+    sizes, cdf = [], GaussianMixtureDensity.cdf_1d
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(GaussianMixtureDensity, "cdf_1d", counted)
+    run(parse_config("experiment = tv-pipeline\nschedule.kind = constant\n"
+                     "schedule.n = 10\npaths = 500\nsamples = 300\n"
+                     "biases = 0,0.5\n"), str(tmp_path))
+    assert sizes.count(4001) == 1 and len(sizes) > 1
+    # the edges are those of an IQR read off a grid built afresh, bit for bit
+    for target in (symmetric_mixture(), gaussian_target([1.5], [[0.25]])):
+        axis = default_axis(target, 4001)
+        grid = cdf(target, axis)
+        iqr = float(np.interp(0.75, grid, axis)) - float(np.interp(0.25, grid, axis))
+        lo, hi = default_axis(target)[[0, -1]]
+        for n in (100, 5000, 20000):
+            bins = max(64, math.ceil((hi - lo) / (2.0 * iqr / n ** (1.0 / 3.0))))
+            want = np.linspace(lo, hi, bins + 1)
+            for _ in range(2):
+                assert fd_bin_edges(target, n).tobytes() == want.tobytes()
 
 
 def test_hist_tv_converges_to_grid_tv():

@@ -228,11 +228,32 @@ def test_draw_block_matches_fresh_path_generators(with_uniform, d):
                 if with_uniform:
                     want_u.append(gen.random())
                 want_z.append(gen.standard_normal((steps, d)))
-            np.testing.assert_array_equal(z, np.stack(want_z))
+            np.testing.assert_array_equal(z, np.stack(want_z, axis=1))
             if with_uniform:
                 np.testing.assert_array_equal(u, np.array(want_u))
             else:
                 assert u is None
+
+
+@pytest.mark.parametrize("tiles, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["1", "T-1", "T", "T+1", "2T+3"])
+@pytest.mark.parametrize("with_uniform", [True, False])
+@pytest.mark.parametrize("d", [1, 3])
+def test_draw_block_columns_match_fresh_draws_across_tiles(d, with_uniform, tiles,
+                                                           extra):
+    # paths are drawn a tile of T paths at a time, then copied transposed into
+    # the time-major block: column j is path_generator(seed, start + j)'s
+    # draw, byte for byte, on both sides of every tile boundary
+    seed, start, steps = 11, 2**33 + 1, 1024
+    count = tiles * (simulate._TILE // (steps * d)) + extra
+    u, z = _draw_block(seed, start, count, steps, d, with_uniform)
+    assert z.shape == (steps, count, d) and z.flags.c_contiguous
+    assert (u is not None) == with_uniform
+    for j in range(count):
+        gen = path_generator(seed, start + j)
+        if with_uniform:
+            assert u[j].tobytes() == np.float64(gen.random()).tobytes()
+        assert z[:, j].tobytes() == gen.standard_normal((steps, d)).tobytes()
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
@@ -255,13 +276,13 @@ def test_shared_blocks_serve_prefixes_of_fresh_draws(steps, extra, d, with_unifo
     longer = steps + extra
     fresh_u, fresh_z = _draw_block(5, start, count, steps, d, with_uniform)
     long_u, long_z = _draw_block(5, start, count, longer, d, with_uniform)
-    assert np.array_equal(long_z[:, :steps], fresh_z)
+    assert np.array_equal(long_z[:steps], fresh_z)
     assert (fresh_u is None) if not with_uniform else np.array_equal(fresh_u, long_u)
     for order in ((longer, steps), (steps, longer)):
         with _shared_noise():
             served = [_draw_block(5, start, count, n, d, with_uniform) for n in order]
         for n, (u, z) in zip(order, served):
-            assert np.array_equal(z, long_z[:, :n])
+            assert np.array_equal(z, long_z[:n])
             assert (u is None) if not with_uniform else np.array_equal(u, long_u)
 
 
@@ -491,6 +512,30 @@ def test_draw_block_lends_live_blocks_byte_identically(d, calls):
     del batch, held
     gc.collect()
     assert _held_blocks() == 0
+
+
+@pytest.mark.parametrize("record", ["full", "terminal"])
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(LOOKUP_ROWS))
+def test_sampler_layout_is_time_major(name, chunk, record):
+    # states and noises are (paths, time, d) views of time-major buffers, so
+    # each step reads its noise and writes its states as contiguous rows
+    target = _anisotropic_mixture(3, 3, 3, 0.5)
+    batch = _lookup_batch(name, target, record, chunk)
+    rows = LOOKUP_ROWS[name] if record == "full" else 2
+    assert batch.states.shape == (40, rows, 3) and batch.terminal_states.shape == (40, 3)
+    assert all(batch.states[:, k].flags.c_contiguous for k in range(rows))
+    assert batch.terminal_states.flags.c_contiguous
+    if record == "terminal":
+        assert batch.noises is None
+        return
+    assert batch.noises.shape == (40, rows - 1, 3)
+    assert all(batch.noises[:, k].flags.c_contiguous for k in range(rows - 1))
+    # a one-chunk batch lends its block to a later call; a chunked one does not
+    if name != "forward":
+        again = _lookup_batch(name, target, "full", chunk)
+        assert np.shares_memory(again.noises, batch.noises) == (chunk is None)
+        np.testing.assert_array_equal(again.states, batch.states)
 
 
 def test_draw_block_terminal_batches_hold_no_block():
