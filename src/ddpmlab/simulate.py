@@ -237,6 +237,8 @@ class ScoreModel:
         self.schedule = schedule
         self.mode = mode
         self.bias = None if bias is None else np.atleast_1d(np.asarray(bias, float))
+        if self.bias is not None and self.bias.shape not in ((1,), (target.d,)):
+            raise ValueError(f"bias shape {self.bias.shape} for a d = {target.d} target")
         self.noise_amplitude = float(noise_amplitude)
         self._clip = _clip  # (inner_model, growth_constants, variant)
 
@@ -252,8 +254,8 @@ class ScoreModel:
         r = np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1))
         return envelope.c0 / math.sqrt(abar) + (envelope.c1 / abar) * r
 
-    def s_step(self, i: int, x) -> np.ndarray:
-        """s_i(x) for step i in 1..n."""
+    def s_step(self, i: int, x, truth=None) -> np.ndarray:
+        """s_i(x) for step i in 1..n; a given `truth` (grad log p_i(x)) is only read."""
         if not 1 <= i <= self.schedule.n:
             raise ValueError("step index out of range")
         x = np.asarray(x, dtype=float)
@@ -261,7 +263,7 @@ class ScoreModel:
             return np.zeros_like(x)
         if self.mode == "clipped":
             inner, _, variant = self._clip
-            s = inner.s_step(i, x)
+            s = inner.s_step(i, x, truth)
             bound = self.growth_bound(i, x)
             norm = np.sqrt(np.sum(s * s, axis=-1))
             over = norm > bound
@@ -269,11 +271,11 @@ class ScoreModel:
                 return s
             s = s.copy()
             if variant == "oracle":  # on every row, so no row is scored alone
-                s[over] = self._laws[i - 1].score(x)[over]
+                s[over] = (self._laws[i - 1].score(x) if truth is None else truth)[over]
             else:
                 s[over] *= (bound[over] / norm[over])[..., None]
             return s
-        s = self._laws[i - 1].score(x)
+        s = self._laws[i - 1].score(x) if truth is None else truth.copy()
         if self.mode == "perturbed":
             if self.bias is not None:
                 s += self.bias

@@ -76,10 +76,15 @@ def _factored(weights, means, covariance) -> dict:
 
 
 def _product(a, b):
-    """a @ b, by np.dot when the inner dimension is 1 (d = 1 in the kernel):
-    there matmul runs an unblocked loop about 8 times slower, and both form
-    each entry as one product.  Elsewhere matmul is the faster of the two."""
-    return np.dot(a, b) if b.shape[0] == 1 else a @ b
+    """a @ b.  At inner dimension 1 (d = 1) a broadcast multiply (by a float if b
+    is one number) forms the same one product per entry, up to a zero's sign
+    that the kernel's next +0 or nonzero term washes out.  A one-number a stays
+    on np.dot, whose BLAS axpy skips a zero a: logpdf(inf) stays -inf, not NaN."""
+    if b.shape[0] != 1:
+        return a @ b
+    if a.size == 1:
+        return np.dot(a, b)
+    return a * (b.item() if b.size == 1 else b)
 
 
 # Cody's rational fits as tabulated in Cephes: erf(x) = x T(x²)/U(x²) for
@@ -212,12 +217,12 @@ class GaussianMixtureDensity:
             return np.ones(x.shape[:-1] + (1,))
         pi = self._logits(x)[0]
         np.exp(pi, out=pi)
-        pi /= pi.sum(axis=0)
-        # written column by column: a transposed view would hand BLAS a
-        # layout whose rounding in score depends on the batch size
+        total = pi.sum(axis=0)
+        # normalised column by column into the output: a transposed view would
+        # hand BLAS a layout whose rounding in score depends on the batch size
         out = np.empty((pi.shape[1], self.n_components))
         for k, row in enumerate(pi):
-            out[:, k] = row
+            np.divide(row, total, out=out[:, k])
         return out.reshape(x.shape[:-1] + (self.n_components,))
 
     def score(self, x):

@@ -190,6 +190,39 @@ def test_clip_never_increases_loss():
         assert lc.loss <= lr.loss + 1e-12
 
 
+def _model_on(target, mode):
+    wild = ScoreModel(target, SCHED, mode="perturbed", bias=9.0, noise_amplitude=0.4)
+    if mode in ("oracle", "projection"):
+        return growth_clip(wild, growth_constants(target), variant=mode)
+    return wild if mode == "perturbed" else ScoreModel(target, SCHED, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "perturbed", "oracle", "projection", "zero"])
+def test_score_loss_shares_the_truth_only_with_a_model_on_the_same_target(
+        monkeypatch, mode):
+    # a model over an equal but distinct target scores x itself; both give the
+    # same report bit for bit
+    given = []
+    s_step = ScoreModel.s_step
+
+    def spy(self, i, x, truth=None):
+        given.append(truth is not None)
+        return s_step(self, i, x, truth)
+
+    monkeypatch.setattr(ScoreModel, "s_step", spy)
+    twin = symmetric_mixture()
+    assert twin is not MIX and np.array_equal(twin.means, MIX.means)
+    shared = score_loss(MIX, SCHED, _model_on(MIX, mode), 400, seed=12)
+    assert given and all(given)
+    given.clear()
+    fallback = score_loss(MIX, SCHED, _model_on(twin, mode), 400, seed=12)
+    assert given and not any(given)
+    for field in ("loss", "std_err", "per_step", "per_step_se", "samples"):
+        assert np.array_equal(getattr(shared, field), getattr(fallback, field)), field
+    if mode != "exact":
+        assert shared.loss > 0.0
+
+
 def test_identity_check_biased_model():
     model = ScoreModel(MIX, SCHED, mode="perturbed", bias=1.0)
     rep = denoise_identity_check(MIX, SCHED, model, 20000, seed=8)

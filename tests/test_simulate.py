@@ -166,6 +166,40 @@ def test_ddpm_terminal_law_matches_the_gaussian_closed_form(schedule, bias, fina
     assert abs(x.var(ddof=1) - v) <= 4.0 * v * math.sqrt(2.0 / (paths - 1))
 
 
+def _reverse_gaussian_law(target, schedule, substeps):
+    """Terminal mean and variance of exact-mode reverse_sde on a 1-D Gaussian.
+    The marginal at t is N(m_t mean, v_t), v_t = m_t^2 var + s_t^2, so each
+    Euler step x + (beta x / 2 + beta s(x)) h + sqrt(beta h) xi is affine:
+    x -> a x + c + sqrt(beta h) xi, from X_0 ~ N(0, 1)."""
+    mean, var = target.means[0, 0], target.covariance[0, 0]
+    steps = schedule.n * substeps
+    h = 1.0 / steps
+    m, v = 0.0, 1.0
+    for k in range(steps):
+        law = target.marginal_at(schedule, 1.0 - k * h)
+        v_t = law.m ** 2 * var + law.s ** 2
+        beta = -schedule.n * schedule.log_alphas[schedule.n - 1 - k // substeps]
+        a = 1.0 + (0.5 - 1.0 / v_t) * beta * h
+        c = beta * h * law.m * mean / v_t
+        m, v = a * m + c, a * a * v + beta * h
+    return m, v
+
+
+@pytest.mark.parametrize("schedule", [constant_rate(10, 4.0),
+                                      from_linear_variance(100, 1e-4, 0.02)],
+                         ids=["const10", "lin100"])
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_reverse_sde_terminal_law_matches_the_gaussian_closed_form(schedule, substeps):
+    # the score's x P term is the d = 1 broadcast product on every step
+    target, paths = gaussian_target([1.5], [[0.25]]), 40000
+    batch = reverse_sde(target, schedule, substeps, paths, seed=5, record="terminal")
+    x = batch.terminal_states[:, 0]
+    m, v = _reverse_gaussian_law(target, schedule, substeps)
+    assert not batch.diverged.any()
+    assert abs(x.mean() - m) <= 4.0 * math.sqrt(v / paths)
+    assert abs(x.var(ddof=1) - v) <= 4.0 * v * math.sqrt(2.0 / (paths - 1))
+
+
 def test_zero_score_terminal_moment_recursion():
     model = ScoreModel(MIX, SCHED, mode="zero")
     batch = reverse_sde(model, SCHED, 1, 30000, seed=8, score_mode="model")
@@ -770,6 +804,50 @@ def test_clipped_score_model_comes_from_growth_clip():
     for mode, args in (("clipped", None), ("exact", clip)):
         with pytest.raises(ValueError, match="mode 'clipped' is built by growth_clip"):
             ScoreModel(MIX, SCHED, mode=mode, _clip=args)
+
+
+def _every_mode():
+    envelope = growth_constants(MIX)
+    wild = ScoreModel(MIX, SCHED, mode="perturbed", bias=40.0, noise_amplitude=0.7)
+    return {"exact": ScoreModel(MIX, SCHED), "perturbed": wild,
+            "oracle": growth_clip(wild, envelope),
+            "projection": growth_clip(wild, envelope, variant="projection"),
+            "zero": ScoreModel(MIX, SCHED, mode="zero")}
+
+
+@pytest.mark.parametrize("mode", ["exact", "perturbed", "oracle", "projection", "zero"])
+def test_s_step_with_a_given_truth_is_bit_identical(mode):
+    model = _every_mode()[mode]
+    x = np.linspace(-40.0, 40.0, 301)[:, None]
+    for i in (1, 7, SCHED.n):
+        truth = model._laws[i - 1].score(x)
+        kept = truth.copy()
+        got = model.s_step(i, x, truth)
+        assert np.array_equal(got, model.s_step(i, x))
+        assert np.array_equal(truth, kept) and not np.shares_memory(got, truth)
+        got += 1.0  # the result is the caller's to write
+        assert np.array_equal(truth, kept)
+    if mode in ("oracle", "projection"):  # both clip some rows and keep others
+        bound = model.growth_bound(7, x)
+        over = np.abs(model._clip[0].s_step(7, x))[:, 0] > bound
+        assert over.any() and not over.all()
+
+
+@pytest.mark.parametrize("d, bias", [(1, [1.0, 2.0]), (1, [[1.0]]), (1, np.zeros(4)),
+                                     (3, [1.0, 2.0]), (3, [[1.0], [2.0], [3.0]])])
+def test_score_model_rejects_a_bias_of_the_wrong_shape(d, bias):
+    # each of these failed only at the first step, in numpy's broadcasting
+    target = gaussian_target(np.arange(d, dtype=float))
+    shape = re.escape(str(np.shape(bias)))
+    with pytest.raises(ValueError, match=rf"bias shape {shape} for a d = {d} target"):
+        ScoreModel(target, SCHED, mode="perturbed", bias=bias)
+
+
+@pytest.mark.parametrize("bias", [0.5, [0.5], [0.5, -1.0, 2.0], math.nan])
+def test_score_model_takes_one_bias_or_one_per_dimension(bias):
+    x = np.ones((5, 3))
+    model = ScoreModel(gaussian_target([0.0, 1.0, 2.0]), SCHED, mode="perturbed", bias=bias)
+    assert model.s_step(3, x).shape == x.shape
 
 
 def test_reverse_transition_density_properties():

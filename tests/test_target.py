@@ -208,6 +208,72 @@ def test_kernel_equals_its_product_forms_bit_for_bit(d, k, seed, lead):
         assert np.array_equal(got, want), name
 
 
+def _blas_forms(law, x):
+    """score, posterior_weights, hessian_log and logpdf with every d = 1 product
+    on np.dot, the kernel's earlier form: BLAS adds each product into +0 and,
+    given a one-number factor, skips it when it is zero."""
+    k, lead = law.n_components, x.shape[:-1]
+    logits = np.dot(law._p_mu, x.reshape(-1, 1).T)
+    logits += law._logit_offset
+    top = logits.max(axis=0)
+    logits -= top
+    logpdf = (law._log_norm - 0.5 * np.sum(x * (x @ law.precision), axis=-1)
+              + top.reshape(lead) + np.log(np.exp(logits).sum(axis=0)).reshape(lead))
+    if k == 1:
+        pi = np.ones(lead + (1,))
+    else:
+        pi = np.exp(logits)
+        pi /= pi.sum(axis=0)
+        pi = np.ascontiguousarray(pi.T).reshape(lead + (k,))
+    score = pi @ law._p_mu
+    score -= np.dot(x, law.precision)
+    cen = law._p_mu - (pi @ law._p_mu)[..., None, :]
+    return {"posterior_weights": pi, "score": score, "logpdf": logpdf,
+            "hessian_log": np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - law.precision}
+
+
+# signed zeros, infinities and NaN, with ordinary and extreme finite values
+D1_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 5e-324, -5e-324,
+                     1e-300, -1e300, 40.0, -40.0])
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_d1_kernel_keeps_the_bits_of_its_blas_products(k):
+    # at d = 1 the logits and x P are broadcast multiplies: every entry, sign of
+    # zero and NaN included, must be what the np.dot forms gave
+    rng = np.random.default_rng(k)
+    means = [np.zeros((k, 1)), -np.zeros((k, 1)),
+             rng.choice([0.0, -0.0, 1.0, -1.5, 3.0], size=(k, 1))]
+    for mu in means:
+        target = MixtureTarget(rng.uniform(0.1, 1.0, k), mu, [[rng.uniform(0.2, 3.0)]])
+        for law in (target, target.marginal_at(SCHED, 0.4)):
+            for x in (D1_EDGES[:, None], D1_EDGES[:1, None], D1_EDGES[4:5, None],
+                      rng.choice(D1_EDGES, size=(300, 1)),
+                      rng.choice(D1_EDGES, size=(2, 3, 1))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    want = _blas_forms(law, x)
+                    got = {name: getattr(law, name)(x) for name in want}
+                for name, value in got.items():
+                    assert value.shape == want[name].shape, name
+                    assert np.array_equal(value, want[name], equal_nan=True), name
+                    number = ~np.isnan(value)
+                    assert np.array_equal(np.signbit(value[number]),
+                                          np.signbit(want[name][number])), name
+
+
+@pytest.mark.parametrize("mean", [0.0, -0.0])
+def test_kernel_logpdf_of_a_zero_mean_gaussian_is_minus_inf_at_infinity(mean):
+    # 0 * inf is NaN: the one-component logit 0 * x must not be formed that way
+    target = gaussian_target([mean], [[0.5]])
+    x = np.array([[np.inf], [-np.inf]])
+    for law in (target, target.marginal_at(SCHED, 0.6)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert np.array_equal(law.logpdf(x), [-np.inf, -np.inf])
+            assert np.array_equal(law.pdf(x), [0.0, 0.0])
+
+
 def _slice_matches_batch(d, k, seed, n, a, b):
     law, rng = _kernel_case(seed, d, k)
     x = rng.normal(scale=4.0, size=(n, d))
