@@ -248,11 +248,12 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
     per_se = np.empty(n)
     pooled_gap_samples = np.zeros(n_pairs)
     pooled_lhs = 0.0
+    shared = score_model.target is target  # as in score_loss
 
     def one_side(i, m, sig, law, x0, z_side):
         x_i = m * x0 + sig * z_side
         c = law.score(x_i)
-        s = score_model.s_step(i, x_i)
+        s = score_model.s_step(i, x_i, c if shared else None)
         g = -z_side / sig
         lhs = np.sum((s - c) ** 2, axis=-1)
         rhs = (np.sum((s - g) ** 2, axis=-1)

@@ -210,8 +210,9 @@ class GaussianMixtureDensity:
         """pi_k(x), summing to 1 at every x; C-contiguous, shape (..., K).
 
         With one component pi is exactly 1 at every x, NaN and +/-inf
-        included, so hessian_log is then -P everywhere while score still
-        carries a non-finite x through its -P x term."""
+        included.  score and hessian_log then skip it: 1 P mu is exact and
+        every centred row is P mu - P mu = +0, so their closed forms below
+        are the general kernel's bits."""
         x = np.asarray(x, dtype=float)
         if self.n_components == 1:
             return np.ones(x.shape[:-1] + (1,))
@@ -226,8 +227,11 @@ class GaussianMixtureDensity:
         return out.reshape(x.shape[:-1] + (self.n_components,))
 
     def score(self, x):
-        """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d)."""
+        """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d); with one
+        component a new P mu + 0.0 - P x (1 P mu turns a -0 into +0 too)."""
         x = np.asarray(x, dtype=float)
+        if self.n_components == 1:
+            return np.subtract(self._p_mu[0] + 0.0, _product(x, self.precision))
         s = self.posterior_weights(x) @ self._p_mu
         s -= _product(x, self.precision)
         return s
@@ -238,7 +242,10 @@ class GaussianMixtureDensity:
         return pi, self._p_mu - (pi @ self._p_mu)[..., None, :]
 
     def hessian_log(self, x):
-        """hess log p(x) = -P + sum_k pi_k c_k c_k^T, shape (..., d, d)."""
+        """hess log p(x) = -P + sum_k pi_k c_k c_k^T, shape (..., d, d); with one
+        component a new +0 - P at every x (-P would make a +0 of P a -0)."""
+        if self.n_components == 1:
+            return np.zeros(np.shape(x)[:-1] + (self.d, self.d)) - self.precision
         pi, cen = self._centred(x)
         return np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - self.precision
 

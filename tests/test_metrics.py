@@ -223,6 +223,37 @@ def test_score_loss_shares_the_truth_only_with_a_model_on_the_same_target(
         assert shared.loss > 0.0
 
 
+@pytest.mark.parametrize("mode", ["exact", "perturbed", "oracle", "projection", "zero"])
+@pytest.mark.parametrize("make", [symmetric_mixture, lambda: gaussian_target([1.5], [[0.5]])],
+                         ids=["mixture", "gaussian"])
+def test_identity_check_scores_each_side_once_with_a_model_on_the_same_target(
+        monkeypatch, make, mode):
+    # one score call per side and step when the model holds the target itself;
+    # a model over an equal but distinct target scores x again, and both give
+    # the same report bit for bit
+    calls = []
+    score = GaussianMixtureDensity.score
+
+    def counted(self, x):
+        calls.append(len(x))
+        return score(self, x)
+
+    monkeypatch.setattr(GaussianMixtureDensity, "score", counted)
+    target, twin = make(), make()
+    shared = denoise_identity_check(target, SCHED, _model_on(target, mode), 400, seed=13)
+    assert calls == [200] * (2 * SCHED.n)
+    calls.clear()
+    fallback = denoise_identity_check(target, SCHED, _model_on(twin, mode), 400, seed=13)
+    # the oracle clip scores the rows it replaces once more
+    least = (2 if mode == "zero" else 4) * SCHED.n
+    assert len(calls) >= least and (mode == "oracle" or len(calls) == least)
+    for field in ("pooled_lhs", "pooled_gap", "pooled_gap_se", "per_step_gap",
+                  "per_step_se", "samples"):
+        assert np.array_equal(getattr(shared, field), getattr(fallback, field)), field
+    if mode != "exact":
+        assert shared.pooled_lhs > 0.0
+
+
 def test_identity_check_biased_model():
     model = ScoreModel(MIX, SCHED, mode="perturbed", bias=1.0)
     rep = denoise_identity_check(MIX, SCHED, model, 20000, seed=8)

@@ -559,6 +559,14 @@ def test_single_component_shortcut_on_non_finite_points():
     assert np.all(np.isfinite(score[3]))
 
 
+def _general_score(law, x):
+    """score through the general kernel (softmax pi, pi @ P mu), no K = 1 shortcut."""
+    x = np.asarray(x, dtype=float)
+    s = _softmax_posterior(law, x) @ law._p_mu
+    s -= target_mod._product(x, law.precision)
+    return s
+
+
 def test_single_component_shortcut_leaves_diverged_flags(monkeypatch):
     # every path leaves the 1e6 limit at alpha_bar_n ~ 2e-300; the shortcut
     # must freeze and flag the same paths at the same states
@@ -569,10 +577,89 @@ def test_single_component_shortcut_leaves_diverged_flags(monkeypatch):
         fast = reverse_sde(target, sched, 2, 60, seed=4)
         monkeypatch.setattr(GaussianMixtureDensity, "posterior_weights",
                             _softmax_posterior)
+        monkeypatch.setattr(GaussianMixtureDensity, "score", _general_score)
         general = reverse_sde(target, sched, 2, 60, seed=4)
     assert fast.diverged.all()
     assert np.array_equal(fast.diverged, general.diverged)
     assert np.array_equal(fast.states, general.states, equal_nan=True)
+
+
+def _one_component_laws(d, full, mean):
+    """The one-component target N(mean, P^-1) and its law at t = 0.4, with a
+    diagonal P (+0 off the diagonal) or a full one."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d))
+    q = a @ a.T + np.eye(d) if full else np.diag(rng.uniform(0.5, 2.0, d))
+    target = gaussian_target(mean, q)
+    return target, target.marginal_at(SCHED, 0.4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_component_shortcut_never_forms_the_posterior_weights(monkeypatch, d):
+    def refuse(self, x):
+        raise AssertionError("posterior_weights called")
+
+    monkeypatch.setattr(GaussianMixtureDensity, "posterior_weights", refuse)
+    x = np.random.default_rng(d).normal(scale=3.0, size=(40, d))
+    for law in _one_component_laws(d, True, np.full(d, 1.5)):
+        want = _product_forms(law, x)
+        for name in ("score", "hessian_log"):
+            assert np.array_equal(getattr(law, name)(x), want[name]), name
+
+
+SHORTCUT_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 5e-324, 40.0])
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_component_shortcut_keeps_the_bits_of_the_product_forms(d, full):
+    # score and hessian_log equal pi @ P mu - x @ P and the centred-row product
+    # with pi = 1, sign of every zero included: a diagonal P's +0 entries give
+    # +0 in the Hessian (not the -0 of -P), and a -0 mean gives a +0 score term
+    rng = np.random.default_rng(10 * d + full)
+    for mean in (np.zeros(d), -np.zeros(d), rng.choice([0.0, -0.0, 1.5, -2.0], size=d)):
+        for law in _one_component_laws(d, full, mean):
+            for x in (rng.choice(SHORTCUT_EDGES, size=(300, d)), np.zeros((3, d)),
+                      -np.zeros((3, d)), rng.choice(SHORTCUT_EDGES, size=(2, 3, d)),
+                      rng.choice(SHORTCUT_EDGES, size=d)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    want = _product_forms(law, x)
+                    got = {name: getattr(law, name)(x) for name in ("score", "hessian_log")}
+                for name, value in got.items():
+                    assert value.shape == want[name].shape, name
+                    assert np.array_equal(value, want[name], equal_nan=True), name
+                    number = ~np.isnan(value)
+                    assert np.array_equal(np.signbit(value[number]),
+                                          np.signbit(want[name][number])), name
+
+
+def test_single_component_shortcut_adds_a_zero_to_p_mu():
+    # the matmul means @ P never leaves a -0 in P mu; set one by hand: the
+    # product 1 * P mu starts from +0, so the score's term is +0 there too
+    law = gaussian_target([1.0, 2.0])
+    law._p_mu = np.array([[-0.0, 2.0]])
+    x = np.array([[0.0, 1.0], [-0.0, 0.0]])
+    want = _product_forms(law, x)["score"]
+    assert not np.signbit(want[:, 0]).any()
+    assert np.array_equal(law.score(x), want)
+    assert np.array_equal(np.signbit(law.score(x)), np.signbit(want))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_single_component_shortcut_returns_fresh_writable_arrays(d):
+    # ScoreModel.s_step adds its bias into the score in place
+    x = np.random.default_rng(d).normal(size=(5, d))
+    for law in _one_component_laws(d, False, np.full(d, 0.5)):
+        for name in ("score", "hessian_log"):
+            first = getattr(law, name)(x)
+            assert first.flags.writeable and first.flags.c_contiguous, name
+            kept = first.copy()
+            first += 1.0
+            assert np.array_equal(getattr(law, name)(x), kept), name
+        for held in (law._p_mu, law.precision, x):
+            assert not np.shares_memory(law.score(x), held)
+            assert not np.shares_memory(law.hessian_log(x), held)
 
 
 @pytest.mark.parametrize("target", [
