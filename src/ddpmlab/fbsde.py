@@ -37,13 +37,9 @@ from .target import (MixtureTarget, _centered_laws, _grid_points, _require_d,
 
 __all__ = [
     "ADJUDICATED_DRIFT_SIGN",
-    "BsdeProcesses",
     "ResidualStats",
     "YastReport",
     "f_weight",
-    "g_weight",
-    "bsde_processes",
-    "bsde_residual",
     "bsde_residual_both",
     "z_energy",
     "yast_check",
@@ -61,25 +57,17 @@ def f_weight(schedule: NoiseSchedule, t) -> np.ndarray:
     return np.exp(0.5 * a) / np.expm1(a)
 
 
-def g_weight(schedule: NoiseSchedule, r) -> np.ndarray:
-    """g(r) = beta_{1-r} exp(A(r)/2)."""
-    r = np.asarray(r, dtype=float)
-    return schedule.beta(1.0 - r) * np.exp(0.5 * schedule.integrated_beta(1.0 - r))
-
-
-def _along(target, schedule, batch, start, terminal=False):
+def _along(target, schedule, batch, start):
     """(beta_k, law of X at reverse time t_k, X_k) for each substep k from
     `start`, streaming over the batch grid, with beta_k constant over the
-    substep; with `terminal`, the last grid point follows under the last
-    substep's beta."""
+    substep."""
     times = batch.times
     if (times.size - 1) % schedule.n != 0:
         raise ValueError("batch grid does not refine the schedule intervals")
     betas = _reverse_grid(schedule, (times.size - 1) // schedule.n)[2]
-    stop = times.size if terminal else times.size - 1
-    laws = target.marginal_at(schedule, 1.0 - times[start:stop])
+    laws = target.marginal_at(schedule, 1.0 - times[start:-1])
     for k, law in enumerate(laws, start):
-        yield betas[min(k, betas.size - 1)], law, batch.states[:, k]
+        yield betas[k], law, batch.states[:, k]
 
 
 def _check_batch(batch: TrajectoryBatch):
@@ -97,39 +85,6 @@ class ResidualStats:
     substeps: int
     t_index: int
     drift_sign: int
-
-
-@dataclass
-class BsdeProcesses:
-    """Materialized (Y, Z) along a batch, for diagnostics at moderate sizes."""
-
-    y: np.ndarray            # (paths, T, d)
-    z: np.ndarray            # (paths, T, d, d)
-    f_values: np.ndarray     # f on the grid points with t < 1
-    g_values: np.ndarray
-
-
-def bsde_processes(target: MixtureTarget, schedule: NoiseSchedule,
-                   batch: TrajectoryBatch) -> BsdeProcesses:
-    _check_batch(batch)
-    y = np.empty_like(batch.states)
-    z = np.empty(batch.states.shape + (batch.d,))
-    points = _along(target, schedule, batch, 0, terminal=True)
-    for k, (beta, law, x) in enumerate(points):
-        y[:, k] = law.score(x)
-        z[:, k] = math.sqrt(beta) * law.hessian_log(x)
-    return BsdeProcesses(y=y, z=z,
-                         f_values=f_weight(schedule, batch.times[:-1]),
-                         g_values=g_weight(schedule, batch.times[:-1]))
-
-
-def bsde_residual(target: MixtureTarget, schedule: NoiseSchedule,
-                  batch: TrajectoryBatch, t_index: int,
-                  drift_sign: int) -> ResidualStats:
-    """Residual statistics of the backward relation from grid index t_index."""
-    if drift_sign not in (-1, 1):
-        raise ValueError("drift_sign must be +1 or -1")
-    return bsde_residual_both(target, schedule, batch, t_index)[drift_sign]
 
 
 def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,

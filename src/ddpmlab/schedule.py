@@ -207,10 +207,13 @@ def save_schedule(schedule: NoiseSchedule, path) -> None:
 
 
 def load_schedule(path) -> NoiseSchedule:
+    """Read save_schedule's text: exactly n alpha lines, then only blank lines."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise ValueError("schedule file must start with 'n=<count>'")
-        n = int(header[2:])
-        alphas = [float(fh.readline()) for _ in range(n)]
-    return NoiseSchedule(alphas)
+        header, *rows = fh.read().rstrip().split("\n")
+    if not header.strip().startswith("n="):
+        raise ValueError("schedule file must start with 'n=<count>'")
+    n = int(header.strip()[2:])
+    if len(rows) != n:
+        raise ValueError(f"schedule file {path}: header n={n} counts {n} alpha "
+                         f"lines, found {len(rows)}")
+    return NoiseSchedule([float(v) for v in rows])

@@ -44,7 +44,6 @@ __all__ = [
     "reverse_sde",
     "ddpm_sample",
     "reverse_transition_density",
-    "save_trajectories",
 ]
 
 DIVERGENCE_LIMIT = 1e6
@@ -544,14 +543,3 @@ def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,
     log_ratio = at_r.logpdf(y) - at_t.logpdf(x)
     return np.exp(log_pref + log_ratio + log_q)
 
-
-def save_trajectories(batch: TrajectoryBatch, path) -> None:
-    """CSV dump: path,time_index,t,dim_0..dim_{d-1} at 17 significant digits."""
-    d = batch.d
-    header = "path,time_index,t," + ",".join(f"dim_{j}" for j in range(d))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for p in range(batch.paths):
-            for k, t in enumerate(batch.times):
-                vals = ",".join(f"{v:.17g}" for v in batch.states[p, k])
-                fh.write(f"{p},{k},{t:.17g},{vals}\n")

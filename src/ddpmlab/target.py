@@ -1,8 +1,8 @@
 """Analytic target distributions: shared-precision Gaussian mixtures.
 
 This family is closed under the forward noising kernel, so the law at any
-intermediate time, its score, its Hessian of log density, and even third
-derivatives are all available in closed form.  That makes it the exact
+intermediate time, its score, its Hessian of log density, and the Laplacian
+of its score are all available in closed form.  That makes it the exact
 oracle against which every sampler and bound in this package is audited.
 
 The precision P = Sigma^{-1} is shared, so -x^T P x / 2 cancels between
@@ -13,7 +13,7 @@ x cancels again in the centred rows c_k = m_k - sum_j pi_j m_j
 
     grad log p      = sum_k pi_k P mu_k - P x
     hess log p      = -P + sum_k pi_k c_k c_k^T           (= -P + Cov_pi(m))
-    third deriv     = sum_k pi_k c_k (x) c_k (x) c_k      (fully symmetric)
+    lap grad log p  = sum_k pi_k |c_k|^2 c_k              (componentwise)
 """
 
 from __future__ import annotations
@@ -255,11 +255,6 @@ class GaussianMixtureDensity:
         pi, cen = self._centred(x)
         return np.einsum("...k,...ki,...k->...i", pi, cen, np.sum(cen * cen, axis=-1))
 
-    def third_log_derivative(self, x):
-        """Full third derivative tensor of log p, shape (..., d, d, d)."""
-        pi, cen = self._centred(x)
-        return np.einsum("...k,...ka,...kb,...kc->...abc", pi, cen, cen, cen)
-
     def grad_pdf(self, x):
         return self.pdf(x)[..., None] * self.score(x)
 
@@ -481,15 +476,16 @@ def save_target(target: MixtureTarget, path) -> None:
 
 
 def load_target(path) -> MixtureTarget:
+    """Read save_target's block: exactly K + d lines after the header, then
+    only blank lines."""
     with open(path) as fh:
-        header = [fh.readline().strip() for _ in range(2)]
-        if not (header[0].startswith("d=") and header[1].startswith("K=")):
-            raise ValueError(f"target file {path} must start with 'd=' and 'K=' lines")
-        d, k = int(header[0][2:]), int(header[1][2:])
-        weights, means = [], []
-        for _ in range(k):
-            vals = [float(v) for v in fh.readline().split(",")]
-            weights.append(vals[0])
-            means.append(vals[1:])
-        q = [[float(v) for v in fh.readline().split(",")] for _ in range(d)]
-    return MixtureTarget(weights, means, q)
+        lines = fh.read().rstrip().split("\n")
+    header = [line.strip() for line in lines[:2]] + ["", ""]
+    if not (header[0].startswith("d=") and header[1].startswith("K=")):
+        raise ValueError(f"target file {path} must start with 'd=' and 'K=' lines")
+    d, k = int(header[0][2:]), int(header[1][2:])
+    if len(lines) - 2 != k + d:
+        raise ValueError(f"target file {path}: header d={d}, K={k} counts {k + d} "
+                         f"lines, found {len(lines) - 2}")
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return MixtureTarget([r[0] for r in rows[:k]], [r[1:] for r in rows[:k]], rows[k:])

@@ -760,6 +760,16 @@ def test_a_target_file_without_its_header_exits_2(tmp_path, capsys):
         f"error: target file {bad} must start with 'd=' and 'K=' lines\n"
 
 
+def test_a_schedule_file_with_more_alphas_than_its_header_exits_2(tmp_path, capsys):
+    # a 3-step schedule would run: t = 0.255 is no knot of it
+    bad = tmp_path / "sched.txt"
+    bad.write_text("n=3\n0.9\n0.8\n0.7\n0.6\n0.5\n")
+    cfg = write(tmp_path, "bad.cfg", PDE + f"schedule.kind = file\nschedule.file = {bad}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: schedule file {bad}: header n=3 counts 3 alpha lines, found 5\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("experiment = fbsde\npaths = 2.5\n", "paths must be int, got 2.5"),
     ("experiment = sign-adjudication\nsubsteps_list = 2,4.5\n",

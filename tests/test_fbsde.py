@@ -6,10 +6,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, _poly_basis, bsde_processes,
-                           bsde_residual, bsde_residual_both, f_weight,
-                           g_weight, h_martingale_check, pde_residual,
-                           yast_check, z_energy)
+from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, _along, _poly_basis,
+                           bsde_residual_both, f_weight, h_martingale_check,
+                           pde_residual, yast_check, z_energy)
 from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
@@ -29,12 +28,19 @@ def test_f_weight_identity():
         assert f * math.expm1(a) == pytest.approx(math.exp(0.5 * a), rel=1e-12)
 
 
-def test_bsde_processes_standard_gaussian():
+def test_y_and_z_on_the_standard_gaussian():
+    # Y = grad log p = -x and Z = sqrt(beta) hess log p = -sqrt(beta) on the
+    # grid laws of the traversal, and Y_1 = -X_1 from the target itself
     batch = reverse_sde(GAUSS, SCHED, 16, 64, seed=1)
-    procs = bsde_processes(GAUSS, SCHED, batch)
-    assert np.allclose(procs.y, -batch.states, atol=1e-14)
     beta = 2.0  # constant schedule, total 2
-    assert np.allclose(procs.z[:, :-1, 0, 0], -math.sqrt(beta), atol=1e-12)
+    points = list(_along(GAUSS, SCHED, batch, 0))
+    assert len(points) == batch.times.size - 1
+    for k, (b, law, x) in enumerate(points):
+        assert np.array_equal(x, batch.states[:, k])
+        assert np.allclose(law.score(x), -x, atol=1e-14)
+        assert np.allclose(math.sqrt(b) * law.hessian_log(x)[:, 0, 0], -math.sqrt(beta),
+                           atol=1e-12)
+    assert np.allclose(GAUSS.score(batch.states[:, -1]), -batch.states[:, -1], atol=1e-14)
 
 
 def test_bsde_residual_standard_gaussian_vanishing_sign():
@@ -60,7 +66,7 @@ def test_bsde_residual_shifted_gaussian_rates():
 
 def test_bsde_residual_terminal_index_is_zero():
     batch = reverse_sde(SHIFTED, SCHED, 16, 32, seed=4)
-    stats = bsde_residual(SHIFTED, SCHED, batch, batch.times.size - 1, -1)
+    stats = bsde_residual_both(SHIFTED, SCHED, batch, batch.times.size - 1)[-1]
     assert stats.rms == pytest.approx(0.0, abs=1e-14)
 
 
@@ -82,7 +88,7 @@ def test_bsde_residual_takes_y_t_from_its_traversal(monkeypatch, t_index):
 def test_bsde_requires_noises():
     batch = reverse_sde(SHIFTED, SCHED, 4, 16, seed=5, record="terminal")
     with pytest.raises(ValueError):
-        bsde_residual(SHIFTED, SCHED, batch, 0, -1)
+        bsde_residual_both(SHIFTED, SCHED, batch, 0)
 
 
 def test_z_energy_gaussian_closed_form():
@@ -202,11 +208,6 @@ def test_h_martingale_constancy_2d():
                                             abs=4.0 * out["std_errs"][0])
 
 
-def test_g_weight_positive():
-    r = np.linspace(0.0, 0.99, 50)
-    assert np.all(g_weight(SCHED, r) > 0.0)
-
-
 EXTREME = constant_rate(20, 690.0)
 
 
@@ -223,7 +224,6 @@ def all_diverged_batch():
 
 ALL_DIVERGED = {
     "bsde_residual_both": lambda b: bsde_residual_both(SHIFTED, EXTREME, b, 0),
-    "bsde_residual": lambda b: bsde_residual(SHIFTED, EXTREME, b, 0, -1),
     "z_energy": lambda b: z_energy(SHIFTED, EXTREME, b),
     "yast_check": lambda b: yast_check(SHIFTED, EXTREME, b, 3),
 }
@@ -232,11 +232,10 @@ ALL_DIVERGED = {
 @pytest.mark.parametrize("name", sorted(ALL_DIVERGED))
 def test_all_diverged_batch_raises_naming_the_function(name):
     batch = all_diverged_batch()
-    expected = "bsde_residual_both" if name == "bsde_residual" else name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError,
-                           match=rf"^{expected}: all 200 paths were excluded for "
+                           match=rf"^{name}: all 200 paths were excluded for "
                                  r"leaving the 1e\+06 norm limit$"):
             ALL_DIVERGED[name](batch)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,3 +167,14 @@ def test_schedule_roundtrip(tmp_path):
     assert text.startswith("n=17\n")
     loaded = load_schedule(path)
     assert np.array_equal(loaded.alphas, s.alphas)
+    path.write_text(text + "\n  \n\n")  # trailing blank lines are allowed
+    assert np.array_equal(load_schedule(path).alphas, s.alphas)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 4, 5])
+def test_load_schedule_refuses_alphas_its_header_does_not_count(tmp_path, rows):
+    path = tmp_path / "sched.txt"
+    path.write_text("n=3\n" + "".join(f"0.{9 - j}\n" for j in range(rows)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"schedule file {path}: header n=3 counts 3 alpha lines, found {rows}")):
+        load_schedule(path)

@@ -14,8 +14,7 @@ from ddpmlab.bounds import girsanov_bound
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import (ScoreModel, _chunk_size, _draw_block, _shared_noise,
                               ddpm_sample, forward_chain, growth_clip, path_generator,
-                              reverse_sde, reverse_transition_density,
-                              save_trajectories)
+                              reverse_sde, reverse_transition_density)
 from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
                             growth_constants, load_target, symmetric_mixture)
 
@@ -195,6 +194,48 @@ def test_reverse_sde_terminal_law_matches_the_gaussian_closed_form(schedule, sub
     batch = reverse_sde(target, schedule, substeps, paths, seed=5, record="terminal")
     x = batch.terminal_states[:, 0]
     m, v = _reverse_gaussian_law(target, schedule, substeps)
+    assert not batch.diverged.any()
+    assert abs(x.mean() - m) <= 4.0 * math.sqrt(v / paths)
+    assert abs(x.var(ddof=1) - v) <= 4.0 * v * math.sqrt(2.0 / (paths - 1))
+
+
+def _reverse_model_gaussian_law(mean, var, schedule, substeps, bias):
+    """Terminal mean and variance of model-mode reverse_sde (substeps >= 2) on
+    a 1-D Gaussian with a biased exact model.  Over interval i the frozen
+    score (1 + sqrt(alpha_i)) / 2 (-(x_tau - m_i mean) / v_i + bias) is
+    A x_tau + C, so each Euler substep keeps x = p x_tau + q + noise of
+    variance w, independent of x_tau; from X_0 ~ N(0, 1)."""
+    h = 1.0 / (schedule.n * substeps)
+    m, v = 0.0, 1.0
+    for i in range(schedule.n, 0, -1):
+        alpha, abar = schedule.alphas[i - 1], schedule.alpha_bars[i - 1]
+        v_i = abar * var + 1.0 - abar
+        c = 0.5 * (1.0 + math.sqrt(alpha))
+        big_a, big_c = -c / v_i, c * (math.sqrt(abar) * mean / v_i + bias)
+        beta = -schedule.n * schedule.log_alphas[i - 1]
+        a = 1.0 + 0.5 * beta * h
+        p, q, w = 1.0, 0.0, 0.0
+        for _ in range(substeps):
+            p, q = a * p + beta * h * big_a, a * q + beta * h * big_c
+            w = a * a * w + beta * h
+        m, v = p * m + q, p * p * v + w
+    return m, v
+
+
+@pytest.mark.parametrize("schedule", [constant_rate(10, 4.0),
+                                      from_linear_variance(100, 1e-4, 0.02)],
+                         ids=["const10", "lin100"])
+@pytest.mark.parametrize("substeps", [2, 3])
+@pytest.mark.parametrize("bias", [0.0, 0.5])
+def test_model_reverse_sde_terminal_law_matches_the_gaussian_closed_form(schedule,
+                                                                          substeps, bias):
+    mean, var, paths = 1.5, 4.0, 40000
+    model = ScoreModel(gaussian_target([mean], [[1.0 / var]]), schedule,
+                       mode="perturbed", bias=bias)
+    batch = reverse_sde(model, schedule, substeps, paths, seed=5,
+                        score_mode="model", record="terminal")
+    x = batch.terminal_states[:, 0]
+    m, v = _reverse_model_gaussian_law(mean, var, schedule, substeps, bias)
     assert not batch.diverged.any()
     assert abs(x.mean() - m) <= 4.0 * math.sqrt(v / paths)
     assert abs(x.var(ddof=1) - v) <= 4.0 * v * math.sqrt(2.0 / (paths - 1))
@@ -867,17 +908,6 @@ def test_reverse_transition_density_properties():
     assert val[0] == pytest.approx(ref, rel=1e-12)
     with pytest.raises(ValueError):
         reverse_transition_density(MIX, sched, 0.0, np.array([0.4]), 0.7, y)
-
-
-def test_trajectory_csv_dump(tmp_path):
-    batch = forward_chain(MIX, constant_rate(3, 1.0), 4, seed=14)
-    path = tmp_path / "traj.csv"
-    save_trajectories(batch, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "path,time_index,t,dim_0"
-    assert len(lines) == 1 + 4 * batch.times.size
-    row = lines[1].split(",")
-    assert float(row[3]) == batch.states[0, 0, 0]
 
 
 def test_reverse_exact_terminal_tv_improves_with_substeps():

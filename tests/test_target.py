@@ -69,8 +69,6 @@ def test_third_derivative_matches_hessian_differences():
               - MIX.hessian_log(np.array([x0 - eps]))) / (2 * eps)
         lap = MIX.score_laplacian(np.array([x0]))
         assert lap[0] == pytest.approx(fd[0, 0], abs=1e-5)
-        tens = MIX.third_log_derivative(np.array([x0]))
-        assert tens[0, 0, 0] == pytest.approx(fd[0, 0], abs=1e-5)
 
 
 @settings(deadline=None, max_examples=30)
@@ -83,8 +81,7 @@ def test_posterior_weights_sum_to_one(x, y):
     assert np.all(w >= 0.0)
 
 
-KERNEL = ("posterior_weights", "score", "hessian_log", "score_laplacian",
-          "third_log_derivative", "logpdf")
+KERNEL = ("posterior_weights", "score", "hessian_log", "score_laplacian", "logpdf")
 # agreement bound in units of the reference kernel's rounding scale (below)
 KERNEL_RTOL = 1e-13
 
@@ -111,8 +108,6 @@ def _reference_kernel(law, x):
         "score": gbar,
         "hessian_log": -law.precision + second - gbar[..., :, None] * gbar[..., None, :],
         "score_laplacian": np.einsum("...k,...ki,...ka,...ka->...i", pi, cen, cen, cen),
-        "third_log_derivative": np.einsum("...k,...ka,...kb,...kc->...abc",
-                                          pi, cen, cen, cen),
         "logpdf": logpdf,
     }
     big_l = np.maximum(1.0, np.abs(comp).max(axis=-1))
@@ -125,7 +120,7 @@ def _kernel_gaps(law, x):
     reference's rounding scale L * M^p, p the number of m_k factors."""
     ref, big_l, big_m = _reference_kernel(law, x)
     powers = {"posterior_weights": 0, "score": 1, "hessian_log": 2,
-              "score_laplacian": 3, "third_log_derivative": 3, "logpdf": 0}
+              "score_laplacian": 3, "logpdf": 0}
     gaps = {}
     for name in KERNEL:
         err = np.abs(getattr(law, name)(x) - ref[name])
@@ -431,6 +426,7 @@ def test_target_roundtrip(tmp_path):
                        [[2.0, 0.5], [0.5, 1.0]])
     path = tmp_path / "target.txt"
     save_target(t2, path)
+    path.write_text(path.read_text() + "\n \n")  # trailing blank lines are allowed
     loaded = load_target(path)
     assert np.array_equal(loaded.weights, t2.weights)
     assert np.array_equal(loaded.means, t2.means)
@@ -722,4 +718,14 @@ def test_load_target_names_a_file_without_its_header(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"target file {path} must start")):
+        load_target(path)
+
+
+@pytest.mark.parametrize("body, found", [("1,0\n1\n1,2\n", 3), ("1,0\n", 1), ("", 0)],
+                         ids=["extra_component", "no_q", "no_body"])
+def test_load_target_refuses_lines_its_header_does_not_count(tmp_path, body, found):
+    path = tmp_path / "bad.txt"
+    path.write_text("d=1\nK=1\n" + body)
+    with pytest.raises(ValueError, match=re.escape(
+            f"target file {path}: header d=1, K=1 counts 2 lines, found {found}")):
         load_target(path)
