@@ -96,9 +96,9 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
 
     kappa(t) = grad log p_{1-t}(X*_t) - s(1 - tau_n(t), X*_{tau_n(t)}) in the
     piecewise-constant form.  The expectation runs along exact-score paths at
-    `substeps` per interval; the frozen-score terminal sample is drawn by the
-    single-substep exponential-integrator update, which has the law of Xhat_1
-    exactly.  Divergent paths are excluded and counted.
+    `substeps` per interval; the frozen-score terminal sample is drawn by
+    ddpm_sample's update (one-substep model-mode reverse_sde), which has the
+    law of Xhat_1 exactly.  Divergent paths are excluded and counted.
     """
     _require_d("girsanov_bound", target.d, 1)
     _check_schedule(score_model, schedule)

@@ -339,14 +339,15 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
     subs = _number(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1)
-    if len(subs) < 2:
-        raise ConfigError("substeps_list needs at least two entries to check refinement")
+    if len(subs) < 2 or len(set(subs)) < len(subs):
+        raise ConfigError("substeps_list needs at least two distinct entries to "
+                          "check refinement")
     t_index = _number(cfg, "t_index", int, 0)
     size, pde = _pde_residuals(cfg, target, schedule)
     # longest first, so the run memo holds the one noise block whose prefixes
     # serve every shorter batch; rows and curves follow the config order
     residuals = {}
-    for s_count in sorted(set(subs), reverse=True):
+    for s_count in sorted(subs, reverse=True):
         batch = reverse_sde(target, schedule, s_count, paths, seed)
         residuals[s_count] = (batch.times[t_index], fbsde_mod.bsde_residual_both(
             target, schedule, batch, t_index))
@@ -450,8 +451,9 @@ def _run_bounds_sweep(cfg, out_dir, summary):
     target = _build_target(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
     n_list = _number(cfg, "n_list", int, [10, 50, 100, 500])
-    if len(n_list) < 2:
-        raise ConfigError("n_list needs at least two entries for the rank correlation")
+    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+        raise ConfigError("n_list needs at least two distinct entries for the rank "
+                          "correlation")
     total = _number(cfg, "schedule.total", float, 4.0)
     totals = sorted(_number(cfg, "totals", float, []))
     with _as_config_error():

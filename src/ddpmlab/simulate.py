@@ -448,9 +448,10 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
     score_mode="exact": Euler-Maruyama with the true marginal score at the
     current state (source must be a MixtureTarget).  score_mode="model":
     `source` is a ScoreModel and the drift holds s(1 - tau_n(t), .) frozen at
-    the interval-start state; with substeps == 1 each interval is advanced by
-    the exact exponential-integrator update, which reproduces the DDPM
-    recursion pathwise under shared noise.
+    the interval-start state.  With substeps == 1 each interval is advanced
+    by its exact exponential-integrator update, which is the DDPM recursion:
+    the step is ddpm_sample's own, so under shared noise the two samplers
+    agree bit for bit.
 
     Paths whose state exceeds 1e6 in norm are frozen and flagged in
     `diverged` rather than aborting the batch.
@@ -472,37 +473,17 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
     frozen_at = _frozen_score(source, interval, substeps)
     h = 1.0 / betas.size
 
-    def exponential_step(k, x, z, rows):
-        alpha = schedule.alphas[interval[k] - 1]
-        ra = math.sqrt(alpha)
-        # x / ra + 2.0 * s * (1.0 - ra) / ra + sqrt((1 - alpha) / alpha) * z
-        x_new = 2.0 * frozen_at(k, x)
-        x_new *= 1.0 - ra
-        x_new /= ra
-        x_new += x / ra
-        x_new += math.sqrt((1.0 - alpha) / alpha) * z
-        return x_new
-
     def euler_step(k, x, z, rows):
         return _euler(x, frozen_at(k, x), betas[k], h, z)
 
     return _integrate(seed, paths, grid, source.target.d,
-                      exponential_step if substeps == 1 else euler_step,
-                      record, chunk, "reverse")
+                      _ddpm_step(source, schedule, True) if substeps == 1
+                      else euler_step, record, chunk, "reverse")
 
 
-def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
-                seed: int, final_noise: bool = True, record: str = "full",
-                chunk=None) -> TrajectoryBatch:
-    """Run the discrete sampler x*_n = xi_n, then for i = n..1
-
-        x*_{i-1} = (x*_i - (1-alpha_i)/sqrt(1-abar_i) z_i(x*_i))/sqrt(alpha_i)
-                   + sigma_i xi_i,
-
-    omitting the i = 1 noise when final_noise is False.  States are stored on
-    the reverse-time grid: column j holds x*_{n-j}.
-    """
-    _check_schedule(score_model, schedule)
+def _ddpm_step(score_model, schedule, final_noise):
+    """Step k of ddpm_sample's recursion (i = n - k), the one update that it
+    and one-substep model-mode reverse_sde both run."""
     n = schedule.n
     alphas = schedule.alphas
     abars = schedule.alpha_bars
@@ -517,8 +498,24 @@ def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
             x_new += sigmas[i - 1] * z
         return x_new
 
-    return _integrate(seed, paths, schedule.times, score_model.target.d, step,
-                      record, chunk, "ddpm")
+    return step
+
+
+def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
+                seed: int, final_noise: bool = True, record: str = "full",
+                chunk=None) -> TrajectoryBatch:
+    """Run the discrete sampler x*_n = xi_n, then for i = n..1
+
+        x*_{i-1} = (x*_i - (1-alpha_i)/sqrt(1-abar_i) z_i(x*_i))/sqrt(alpha_i)
+                   + sigma_i xi_i,
+
+    omitting the i = 1 noise when final_noise is False.  States are stored on
+    the reverse-time grid: column j holds x*_{n-j}.
+    """
+    _check_schedule(score_model, schedule)
+    return _integrate(seed, paths, schedule.times, score_model.target.d,
+                      _ddpm_step(score_model, schedule, final_noise), record,
+                      chunk, "ddpm")
 
 
 def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,

@@ -35,11 +35,26 @@ def test_acceptance_01_eq9_pathwise_equivalence():
     model = dl.ScoreModel(target, sched, mode="exact")
     dd = dl.ddpm_sample(model, sched, 1000, seed=101)
     rev = dl.reverse_sde(model, sched, 1, 1000, seed=101, score_mode="model")
-    diff = float(np.abs(dd.states - rev.states).max())
+    # the independent reference: the exponential-integrator update of the
+    # frozen-score reverse SDE, x/sqrt(a) + 2 s (1 - sqrt(a))/sqrt(a)
+    # + sqrt((1 - a)/a) z with s = s_frozen, replayed out of place on the
+    # sampler's own noise from its own start
+    x = dd.states[:, 0]
+    ref = [x]
+    for k in range(sched.n):
+        i = sched.n - k
+        alpha = sched.alphas[i - 1]
+        ra = math.sqrt(alpha)
+        s, z = model.s_frozen(i, x), dd.noises[:, k]
+        x = x / ra + 2.0 * s * (1.0 - ra) / ra + math.sqrt((1.0 - alpha) / alpha) * z
+        ref.append(x)
+    diff = float(np.abs(dd.states - np.stack(ref, axis=1)).max())
+    same = np.array_equal(dd.states, rev.states)
     elapsed = time.time() - t0
-    ok = diff <= 1e-12 and elapsed < 5.0
+    ok = diff <= 1e-12 and same and elapsed < 5.0
     _report(1, ok, f"max pathwise diff {diff:.3g} (tol 1e-12), {elapsed:.1f}s")
     assert diff <= 1e-12
+    assert same, "ddpm_sample and one-substep model-mode reverse_sde differ"
     assert elapsed < 5.0
 
 

@@ -166,13 +166,32 @@ def test_keys_and_kinds_a_run_does_not_read_exit_2(tmp_path, capsys, text, messa
     assert not out.exists()
 
 
+SWEEP_MESSAGES = {
+    "n_list": "n_list needs at least two distinct entries for the rank correlation",
+    "substeps_list": "substeps_list needs at least two distinct entries to check "
+                     "refinement",
+}
+
+
 @pytest.mark.parametrize("text, message", [
-    ("experiment = bounds-sweep\nn_list = 10\npaths = 500\n",
-     "n_list needs at least two entries for the rank correlation"),
+    ("experiment = bounds-sweep\nn_list = 10\npaths = 500\n", SWEEP_MESSAGES["n_list"]),
     ("experiment = sign-adjudication\ntarget.kind = gaussian\nschedule.kind = constant\n"
-     "schedule.n = 4\npaths = 20\nsubsteps_list = 16\n",
-     "substeps_list needs at least two entries to check refinement"),
-], ids=["bounds_sweep", "sign_adjudication"])
+     "schedule.n = 4\npaths = 20\nsubsteps_list = 16\n", SWEEP_MESSAGES["substeps_list"]),
+    # a repeated entry adds no point: it would rank a tie (rho = nan) or
+    # compare a batch with itself (doubling factor 1), and write duplicate rows
+    ("experiment = bounds-sweep\nn_list = 10,10\npaths = 500\n",
+     SWEEP_MESSAGES["n_list"]),
+    ("experiment = bounds-sweep\nn_list = 10,50,10\npaths = 500\n",
+     SWEEP_MESSAGES["n_list"]),
+    ("experiment = sign-adjudication\ntarget.kind = gaussian\nschedule.kind = constant\n"
+     "schedule.n = 4\npaths = 20\nsubsteps_list = 16,16\n",
+     SWEEP_MESSAGES["substeps_list"]),
+    ("experiment = sign-adjudication\ntarget.kind = gaussian\nschedule.kind = constant\n"
+     "schedule.n = 4\npaths = 20\nsubsteps_list = 16,32,16\n",
+     SWEEP_MESSAGES["substeps_list"]),
+], ids=["bounds_sweep", "sign_adjudication", "bounds_sweep_repeated",
+        "bounds_sweep_repeated_apart", "sign_adjudication_repeated",
+        "sign_adjudication_repeated_apart"])
 def test_sweeps_of_one_point_exit_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                        text, message):
     for name in ("ddpm_sample", "reverse_sde"):

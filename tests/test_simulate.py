@@ -75,12 +75,16 @@ def test_ddpm_equals_exponential_integrator_pathwise():
     rev = reverse_sde(model, SCHED, 1, 200, seed=5, score_mode="model")
     # ddpm column j holds x*_{n-j}, matching the reverse grid directly
     assert np.abs(dd.states - rev.states).max() <= 1e-12
-
-
-def _separation(target):
-    """The largest Mahalanobis distance between component means under Q."""
-    diffs = target.means[:, None, :] - target.means[None, :, :]
-    return math.sqrt(np.einsum("jki,il,jkl->jk", diffs, target.q, diffs).max())
+    # replay the exponential-integrator update x/sqrt(a) + 2 s (1 - sqrt(a))/sqrt(a)
+    # + sqrt((1 - a)/a) z, s = s_frozen, on the sampler's own start and noise
+    x = dd.states[:, 0]
+    for k in range(SCHED.n):
+        i = SCHED.n - k
+        alpha = SCHED.alphas[i - 1]
+        ra = math.sqrt(alpha)
+        x = (x / ra + 2.0 * model.s_frozen(i, x) * (1.0 - ra) / ra
+             + math.sqrt((1.0 - alpha) / alpha) * dd.noises[:, k])
+        assert np.abs(dd.states[:, k + 1] - x).max() <= 1e-12
 
 
 BENCH_FIXTURE = load_target(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -94,18 +98,25 @@ SEPARATED = [(f"sep{a:g}", symmetric_mixture(separation=a))
 
 @pytest.mark.parametrize("target", [t for _, t in SEPARATED],
                          ids=[name for name, _ in SEPARATED])
-def test_ddpm_matches_model_mode_reverse_within_separation_tolerance(target):
-    # the two samplers run one recursion in two arithmetic orders.  A rounding
-    # difference grows while a path moves between components, where the score
-    # Jacobian gains a between-component part of at most D^2/4 (D from
-    # _separation), so the bound scales with D^2 and with the state scale
+def test_ddpm_equals_model_mode_reverse_bit_for_bit(target):
+    # one-substep model-mode reverse_sde runs ddpm_sample's own step on the
+    # same grid and noise, so the two agree exactly at any component
+    # separation, in either record mode and however the paths are chunked
+    # (ddpm column j holds x*_{n-j}, matching the reverse grid directly).
+    # 2000 unchunked paths include paths that cross between components, where
+    # two arithmetic orders drift furthest apart; chunks of 7 step 200 paths,
+    # a ragged last chunk included
     sched = from_linear_variance(100, 1e-4, 0.05)
     model = ScoreModel(target, sched, mode="exact")
-    dd = ddpm_sample(model, sched, 2000, seed=3)
-    rev = reverse_sde(model, sched, 1, 2000, seed=3, score_mode="model")
-    assert not (dd.diverged.any() or rev.diverged.any())
-    tol = 64.0 * max(1.0, _separation(target)) ** 2 * np.finfo(float).eps
-    assert np.abs(dd.states - rev.states).max() <= tol * np.abs(dd.states).max()
+    for record in ("full", "terminal"):
+        for chunk, paths in ((None, 2000), (7, 200)):
+            dd = ddpm_sample(model, sched, paths, seed=3, record=record, chunk=chunk)
+            rev = reverse_sde(model, sched, 1, paths, seed=3, score_mode="model",
+                              record=record, chunk=chunk)
+            assert not dd.diverged.any()
+            np.testing.assert_array_equal(rev.diverged, dd.diverged)
+            np.testing.assert_array_equal(rev.states, dd.states)
+            np.testing.assert_array_equal(rev.times, dd.times)
 
 
 def test_ddpm_final_noise_flag():
@@ -770,13 +781,13 @@ def test_model_mode_reverse_steps_leave_scores_and_noise_untouched(substeps):
     for k in range(n):
         i = SCHED.n - k // substeps
         alpha = SCHED.alphas[i - 1]
-        if k % substeps == 0:
-            s = PERT.s_frozen(i, x)
         z = outside.noises[:, k]
-        if substeps == 1:
-            ra = math.sqrt(alpha)
-            x = x / ra + 2.0 * s * (1.0 - ra) / ra + math.sqrt((1.0 - alpha) / alpha) * z
+        if substeps == 1:  # ddpm_sample's step
+            coeff = (1.0 - alpha) / math.sqrt(1.0 - SCHED.alpha_bars[i - 1])
+            x = (x - coeff * PERT.z_step(i, x)) / math.sqrt(alpha) + SCHED.sigmas[i - 1] * z
         else:
+            if k % substeps == 0:
+                s = PERT.s_frozen(i, x)
             beta = -SCHED.n * SCHED.log_alphas[i - 1]
             drift = 0.5 * beta * x + beta * s
             x = x + drift * h + math.sqrt(beta * h) * z
