@@ -41,7 +41,7 @@ _BOTH = {"target": _TARGETS, "schedule": _SCHEDULES}
 _KEYS = {
     "schedule-audit": ({"gamma1", "gamma2", "expect"}, {"schedule": _SCHEDULES}),
     "identity": ({"bias", "samples", "rel_tol"}, _BOTH),
-    "fbsde": ({"paths", "substeps", "t_index", "mode"}, _BOTH),
+    "fbsde": ({"paths", "substeps", "t_index"}, _BOTH),
     "pde": ({"t", "grid"}, _BOTH),
     "sign-adjudication": ({"paths", "substeps_list", "t_index", "t", "grid"}, _BOTH),
     "tv-pipeline": ({"paths", "substeps", "biases", "samples"}, _BOTH),
@@ -160,6 +160,15 @@ def _number(cfg: ExperimentConfig, key: str, cast, default=None, low=None,
             span = f">= {low}" if below is None else f"in [{low}, {below})"
             raise ConfigError(f"{key} must be {span}, got {v!r}")
     return values if many else values[0]
+
+
+def _sweep(cfg, key, cast, default, low=None, why=None):
+    """The list setting `key` in ascending order; with `why`, fewer than two
+    entries or a repeated one is an error, as the sweep compares neighbours."""
+    values = sorted(_number(cfg, key, cast, default, low=low))
+    if why and (len(values) < 2 or len(set(values)) < len(values)):
+        raise ConfigError(f"{key} needs at least two distinct entries {why}")
+    return values
 
 
 @_as_config_error()
@@ -281,10 +290,10 @@ def _run_identity(cfg, out_dir, summary):
 def _run_fbsde(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
-    mode = cfg.get("mode")
-    if mode not in (None, "gaussian", "regression"):
-        raise ConfigError(f"mode must be gaussian or regression, got {mode!r}")
-    t_index = _number(cfg, "t_index", int, 0)
+    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * substeps + 1)
+    least = fbsde_mod._REGRESSION_PATHS
+    if not fbsde_mod._gaussian_oracle(target) and paths < least:
+        raise ConfigError(f"regression mode needs at least {least} paths")
     batch = reverse_sde(target, schedule, substeps, paths, seed)
     both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
     rows = [(t_index, batch.times[t_index], s.drift_sign, s.rms, s.max,
@@ -298,7 +307,7 @@ def _run_fbsde(cfg, out_dir, summary):
     summary.check("bsde_sign_separation", opposite.rms >= 10.0 * adjudicated.rms,
                   f"ratio={opposite.rms / max(adjudicated.rms, 1e-300):.3g}")
     y_index = (batch.times.size - 1) // 2
-    yast = fbsde_mod.yast_check(target, schedule, batch, y_index, mode=mode)
+    yast = fbsde_mod.yast_check(target, schedule, batch, y_index)
     yrows = [("yast_rms", y_index, yast.rms, 0.0, yast.paths),
              ("yast_rel_rms", y_index, yast.rms_relative, 0.0, yast.paths),
              ("yast_tower_gap", y_index, yast.tower_gap, yast.tower_se, yast.paths)]
@@ -338,23 +347,20 @@ def _run_pde(cfg, out_dir, summary):
 def _run_sign_adjudication(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
-    subs = _number(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1)
-    if len(subs) < 2 or len(set(subs)) < len(subs):
-        raise ConfigError("substeps_list needs at least two distinct entries to "
-                          "check refinement")
-    t_index = _number(cfg, "t_index", int, 0)
+    subs = _sweep(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1,
+                  why="to check refinement")
+    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * subs[0] + 1)
     size, pde = _pde_residuals(cfg, target, schedule)
     # longest first, so the run memo holds the one noise block whose prefixes
-    # serve every shorter batch; rows and curves follow the config order
-    residuals = {}
-    for s_count in sorted(subs, reverse=True):
+    # serve every shorter batch
+    residuals = []
+    for s_count in reversed(subs):
         batch = reverse_sde(target, schedule, s_count, paths, seed)
-        residuals[s_count] = (batch.times[t_index], fbsde_mod.bsde_residual_both(
-            target, schedule, batch, t_index))
+        residuals.append((batch.times[t_index], fbsde_mod.bsde_residual_both(
+            target, schedule, batch, t_index)))
     rows = []
     curves = {-1: [], 1: []}
-    for s_count in subs:
-        t, both = residuals[s_count]
+    for t, both in reversed(residuals):
         for sign in (-1, 1):
             st = both[sign]
             curves[sign].append(st.rms)
@@ -362,8 +368,7 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
                            "t_index,t,sign,rms,max,paths,substeps", rows)
     vanish = -1 if curves[-1][-1] < curves[1][-1] else 1
-    factors = [curves[vanish][i + 1] / curves[vanish][i]
-               for i in range(len(subs) - 1)]
+    factors = [b / a for a, b in zip(curves[vanish], curves[vanish][1:])]
     summary.report("bsde_vanishing_sign", f"{vanish:+d}")
     summary.report("bsde_rms_curve_vanishing",
                    " ".join(f"{v:.6g}" for v in curves[vanish]))
@@ -390,7 +395,7 @@ def _run_sign_adjudication(cfg, out_dir, summary):
 def _run_tv_pipeline(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
-    biases = _number(cfg, "biases", float, [0.0, 0.25, 0.5, 1.0])
+    biases = _sweep(cfg, "biases", float, [0.0, 0.25, 0.5, 1.0])
     samples = _number(cfg, "samples", int, 20000, low=1)
     edges = metrics_mod.fd_bin_edges(target, paths)
     # drawn first, its noise block is the longest; every later batch is a prefix
@@ -450,15 +455,13 @@ def _rank_correlation(a, b):
 def _run_bounds_sweep(cfg, out_dir, summary):
     target = _build_target(cfg)
     paths, seed = _sizes(cfg, "paths", "seed")
-    n_list = _number(cfg, "n_list", int, [10, 50, 100, 500])
-    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
-        raise ConfigError("n_list needs at least two distinct entries for the rank "
-                          "correlation")
+    n_list = _sweep(cfg, "n_list", int, [10, 50, 100, 500],
+                    why="for the rank correlation")
     total = _number(cfg, "schedule.total", float, 4.0)
-    totals = sorted(_number(cfg, "totals", float, []))
+    totals = _sweep(cfg, "totals", float, [])
     with _as_config_error():
         schedules = [constant_rate(n, total) for n in n_list]
-        rhs_schedules = [constant_rate(max(n_list), tot) for tot in totals]
+        rhs_schedules = [constant_rate(n_list[-1], tot) for tot in totals]
     envelope = target.growth_constants()
     edges = metrics_mod.fd_bin_edges(target, paths)
     rows = []
@@ -493,8 +496,7 @@ def _run_bounds_sweep(cfg, out_dir, summary):
             rhs_values.append(rhs)
             summary.report(f"schrodinger_rhs_total{tot:g}", f"{rhs:.6g}")
         summary.check("schrodinger_rhs_monotone",
-                      all(rhs_values[i + 1] <= rhs_values[i] + 1e-12
-                          for i in range(len(rhs_values) - 1)),
+                      all(b <= a + 1e-12 for a, b in zip(rhs_values, rhs_values[1:])),
                       "rhs nonincreasing in -log alpha_bar_n")
 
 

@@ -49,6 +49,12 @@ __all__ = [
 
 # Sign of the 1/2 int beta Y dr term selected by the Gaussian oracle.
 ADJUDICATED_DRIFT_SIGN = -1
+_REGRESSION_PATHS = 10_000  # the fewest kept paths yast_check's regression fits
+
+
+def _gaussian_oracle(target: MixtureTarget) -> bool:
+    """Whether `target` is one unit-covariance component, as yast_check's oracle needs."""
+    return target.n_components == 1 and np.allclose(target.covariance, np.eye(target.d))
 
 
 def f_weight(schedule: NoiseSchedule, t) -> np.ndarray:
@@ -145,38 +151,29 @@ class YastReport:
 
 
 def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
-               batch: TrajectoryBatch, t_index: int,
-               mode: str | None = None) -> YastReport:
+               batch: TrajectoryBatch, t_index: int) -> YastReport:
     """Verify the martingale identity Y_t = f(t) E*[int_t^1 g(r) Y_r dr | F_t].
 
-    Gaussian-oracle mode (unit-covariance single Gaussians): the conditional
-    expectation is known in closed form through the OU conditional mean;
-    the headline rms compares f(t) times its left-point quadrature on the
-    simulation grid with Y_t, so it carries integrator error only.
-    Regression mode (mixtures): cross-sectional least squares of the realized
-    integral on the cubic polynomial basis of X_t, then
-    rms of f(t) * prediction - Y_t, relative to rms(Y_t).  Both modes also
-    report the tower-property gap mean(f * I) - mean(Y_t) with its SE.
-    mode=None picks the Gaussian oracle for one component, regression else.
+    The target picks the mode.  Gaussian-oracle mode (one component of unit
+    covariance): the conditional expectation is known in closed form through
+    the OU conditional mean; the headline rms compares f(t) times its
+    left-point quadrature on the simulation grid with Y_t, so it carries
+    integrator error only.  Regression mode (every other target, at least 1e4
+    kept paths): cross-sectional least squares of the realized integral on
+    the cubic polynomial basis of X_t, then rms of f(t) * prediction - Y_t,
+    relative to rms(Y_t).  Both modes also report the tower-property gap
+    mean(f * I) - mean(Y_t) with its SE.
     """
     _check_batch(batch)
     times = batch.times
     if not 0 <= t_index < times.size - 1:
         raise ValueError("t_index must leave a nonempty interval [t, 1]")
     t = float(times[t_index])
-    if mode is None:
-        mode = "gaussian" if target.n_components == 1 else "regression"
-    if mode not in ("gaussian", "regression"):
-        raise ValueError(f"yast_check: unknown mode {mode!r}; "
-                         "expected 'gaussian' or 'regression'")
+    mode = "gaussian" if _gaussian_oracle(target) else "regression"
     keep = _kept_paths("yast_check", batch.diverged)
     x_t = batch.states[keep, t_index]
-    if mode == "gaussian":
-        if target.n_components != 1 or not np.allclose(target.covariance,
-                                                       np.eye(target.d)):
-            raise ValueError("gaussian-oracle mode needs a unit-covariance Gaussian")
-    elif x_t.shape[0] < 10_000:
-        raise ValueError("regression mode needs at least 1e4 paths")
+    if mode == "regression" and x_t.shape[0] < _REGRESSION_PATHS:
+        raise ValueError(f"regression mode needs at least {_REGRESSION_PATHS} paths")
     f_t = float(f_weight(schedule, t))
     g_t = float(schedule.integrated_beta(1.0 - t))
     h = times[1] - times[0]

@@ -152,10 +152,14 @@ def test_config_errors_exit_2(tmp_path, capsys, text, message):
      "target.kind must be mixture or gaussian or file, got ['gaussian', 'file']"),
     ("experiment = bounds-sweep\nschedule.kind = linear\n",
      "schedule.kind must be constant, got 'linear'"),
+    # the target picks yast_check's oracle: no experiment reads a mode
+    ("experiment = fbsde\ntarget.kind = gaussian\nschedule.kind = constant\n"
+     "schedule.n = 4\npaths = 200\nsubsteps = 16\nmode = gausian\n",
+     "unknown config keys: mode"),
 ], ids=["mean_under_mixture", "variance_under_mixture", "separation_under_gaussian",
         "variance_under_file", "v_start_under_constant", "total_under_linear",
         "n_under_file", "unknown_schedule_kind", "list_target_kind",
-        "sweep_linear_schedule"])
+        "sweep_linear_schedule", "mode_gausian"])
 def test_keys_and_kinds_a_run_does_not_read_exit_2(tmp_path, capsys, text, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(text)
@@ -318,8 +322,7 @@ def test_a_longer_request_drops_the_shorter_block_before_drawing(monkeypatch):
 
 def test_sign_adjudication_draws_its_longest_block_once(tmp_path, monkeypatch):
     # the longest batch runs first, so every shorter one reads a prefix of
-    # its block; the report keeps the config order (which, not ascending here,
-    # fails the refinement check: only the draws and the rows are looked at)
+    # its block; the report lists the counts in ascending order
     text = ("experiment = sign-adjudication\ntarget.kind = gaussian\n"
             "target.mean = 1.5\nschedule.kind = constant\nschedule.n = 8\n"
             "schedule.total = 2.0\npaths = 64\nsubsteps_list = 16,64,32\n"
@@ -329,8 +332,39 @@ def test_sign_adjudication_draws_its_longest_block_once(tmp_path, monkeypatch):
     assert len(built) == 1
     with open(tmp_path / "bsde_residuals.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["substeps"]) for r in rows] == [16, 16, 64, 64, 32, 32]
+    assert [int(r["substeps"]) for r in rows] == [16, 16, 32, 32, 64, 64]
     assert [int(r["sign"]) for r in rows] == [-1, 1] * 3
+
+
+SWEEPS = {
+    "sign-adjudication": ("substeps_list", ["16", "32", "64"],
+                          "experiment = sign-adjudication\ntarget.kind = gaussian\n"
+                          "target.mean = 1.5\nschedule.kind = constant\nschedule.n = 8\n"
+                          "schedule.total = 2.0\npaths = 64\ngrid = 401\n"),
+    "bounds-sweep": ("n_list", ["5", "10", "20"],
+                     "experiment = bounds-sweep\npaths = 2000\nseed = 13\n"),
+    "tv-pipeline": ("biases", ["0", "0.5"],
+                    "experiment = tv-pipeline\nschedule.kind = constant\nschedule.n = 10\n"
+                    "paths = 2000\nsamples = 1000\nseed = 9\n"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEPS))
+def test_a_sweep_runs_in_ascending_order_whatever_order_the_config_gives(tmp_path,
+                                                                          experiment):
+    # each verdict compares neighbours in ascending order, so any order of
+    # the same points gives the same outputs
+    key, ascending, text = SWEEPS[experiment]
+    orders = [ascending, ascending[::-1], ascending[1:] + ascending[:1]]
+    outputs = []
+    for i, order in enumerate(orders):
+        out = tmp_path / str(i)
+        status = run(parse_config(text + f"{key} = {','.join(order)}\n"), str(out))
+        # every output but the echo of the config
+        outputs.append((status, {p.name: p.read_bytes() for p in out.iterdir()
+                                 if p.name != "config_resolved.txt"}))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -612,10 +646,12 @@ def test_bounds_sweep_totals_beyond_what_a_reverse_batch_survives(tmp_path):
      "expect = Pass\n", "expect must be pass or fail, got 'Pass'"),
     ("experiment = schedule-audit\nschedule.n = 1000\ngamma1 = 0.15\ngamma2 = 30.67\n"
      "expect = true\n", "expect must be pass or fail, got True"),
-    ("experiment = fbsde\ntarget.kind = gaussian\nschedule.kind = constant\n"
-     "schedule.n = 4\npaths = 200\nsubsteps = 16\nmode = gausian\n",
-     "mode must be gaussian or regression, got 'gausian'"),
-], ids=["expect_Pass", "expect_true", "mode_gausian"])
+    # a mixture takes the regression mode, which needs 1e4 paths
+    ("experiment = fbsde\nschedule.kind = constant\nschedule.n = 4\npaths = 2000\n",
+     "regression mode needs at least 10000 paths"),
+    ("experiment = fbsde\ntarget.kind = gaussian\ntarget.variance = 4\npaths = 9999\n",
+     "regression mode needs at least 10000 paths"),
+], ids=["expect_Pass", "expect_true", "regression_paths", "regression_paths_wide_gaussian"])
 def test_unknown_expect_or_mode_exits_2_before_simulating(tmp_path, capsys, monkeypatch,
                                                           text, message):
     calls = _count_reverse_sde(monkeypatch)
@@ -800,6 +836,14 @@ def test_a_schedule_file_with_more_alphas_than_its_header_exits_2(tmp_path, caps
     ("experiment = tv-pipeline\nschedule.n = 10,20\n",
      "schedule.n must be int, got [10, 20]"),
     ("experiment = fbsde\nt_index = 1,2\n", "t_index must be int, got [1, 2]"),
+    # a t_index off the batch grid: 100 steps of 2 substeps, or 8 steps of the
+    # smallest count in the list
+    ("experiment = fbsde\nt_index = -3\n", "t_index must be in [0, 201), got -3"),
+    ("experiment = fbsde\nt_index = 99999\n", "t_index must be in [0, 201), got 99999"),
+    ("experiment = sign-adjudication\nt_index = -1\n",
+     "t_index must be in [0, 12801), got -1"),
+    ("experiment = sign-adjudication\nschedule.kind = constant\nschedule.n = 8\n"
+     "substeps_list = 64,16\nt_index = 129\n", "t_index must be in [0, 129), got 129"),
     # out of range: a count below 1, a seed that is no 64-bit Philox key word
     ("experiment = tv-pipeline\npaths = 0\n", "paths must be >= 1, got 0"),
     ("experiment = tv-pipeline\nsubsteps = 0\n", "substeps must be >= 1, got 0"),
@@ -836,7 +880,8 @@ def test_a_schedule_file_with_more_alphas_than_its_header_exits_2(tmp_path, caps
     ("experiment = tv-pipeline\nbiases = 0,-2" + "0" * 400 + "\n",
      "biases must be finite, got an int beyond 1.8e308"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
-        "samples_list", "schedule_n_list", "t_index_list", "paths_0", "substeps_0",
+        "samples_list", "schedule_n_list", "t_index_list", "fbsde_t_index_-3",
+        "fbsde_t_index_99999", "sign_t_index_-1", "sign_t_index_129", "paths_0", "substeps_0",
         "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
         "substeps_list_0", "sign_seed_-1", "pde_flag_seed_-1", "pde_seed_2**64",
         "audit_flag_seed_-1", "audit_seed_2**64", "separation_nan", "total_inf",
