@@ -290,7 +290,7 @@ def _run_identity(cfg, out_dir, summary):
 def _run_fbsde(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
     paths, substeps, seed = _sizes(cfg, "paths", "substeps", "seed")
-    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * substeps + 1)
+    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * substeps)
     least = fbsde_mod._REGRESSION_PATHS
     if not fbsde_mod._gaussian_oracle(target) and paths < least:
         raise ConfigError(f"regression mode needs at least {least} paths")
@@ -349,7 +349,7 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     paths, seed = _sizes(cfg, "paths", "seed")
     subs = _sweep(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1,
                   why="to check refinement")
-    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * subs[0] + 1)
+    t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * subs[0])
     size, pde = _pde_residuals(cfg, target, schedule)
     # longest first, so the run memo holds the one noise block whose prefixes
     # serve every shorter batch

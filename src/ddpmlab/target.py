@@ -87,77 +87,6 @@ def _product(a, b):
     return a * (b.item() if b.size == 1 else b)
 
 
-# Cody's rational fits as tabulated in Cephes: erf(x) = x T(x²)/U(x²) for
-# |x| <= 1, erfc(x) = exp(-x²) P(x)/Q(x) for 1 <= x < 8 and R(x)/S(x) above.
-# Q, S and U have a leading coefficient 1 (Cephes' p1evl).
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-_MAXLOG = 7.09782712893383996843E2  # log(2**1024): exp(-x²) underflows past it
-_SQRT1_2 = 0.70710678118654752440
-
-
-def _horner(x, coefs, monic=False):
-    """Cephes polevl(x, coefs), or p1evl with a leading 1 when monic: the same
-    multiply-then-add steps, so the same roundings."""
-    y = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        y = y * x + c
-    return y
-
-
-def _erf(x):
-    """Cephes erf for |x| <= 1."""
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
-
-
-def _ndtr(a):
-    """The standard normal CDF, scipy.special.ndtr to the bit: Cephes' ndtr
-    with its branch points, erfc branches and Horner order.  exp is libm's
-    (math.exp), the one Cephes calls: numpy's SIMD exp can differ from it in
-    the last bit.  It runs point by point, so only where erfc needs it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # z*z; signalling NaNs
-        x = np.asarray(a, dtype=float) * _SQRT1_2
-        z = np.abs(x)
-        inner = z < _SQRT1_2
-        outer = ~inner  # NaN included: it stays NaN through the tail
-        zo, xo = z[outer], x[outer]
-        zz = zo * zo
-    y = np.empty_like(z)
-    y[inner] = 0.5 + 0.5 * _erf(x[inner])
-    erfc = np.zeros_like(zo)  # 0 where exp(-z²) underflows
-    mid = zo < 1.0
-    erfc[mid] = 1.0 - _erf(zo[mid])
-    tail = ~mid & ~(zz > _MAXLOG)
-    zt = zo[tail]
-    e = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float, zt.size)
-    erfc[tail] = np.where(
-        zt < 8.0, e * _horner(zt, _ERFC_P) / _horner(zt, _ERFC_Q, monic=True),
-        e * _horner(zt, _ERFC_R) / _horner(zt, _ERFC_S, monic=True))
-    half = 0.5 * erfc
-    y[outer] = np.where(xo > 0.0, 1.0 - half, half)
-    return y
-
-
 class GaussianMixtureDensity:
     """Mixture of Gaussians with one shared covariance matrix.
 
@@ -255,15 +184,6 @@ class GaussianMixtureDensity:
         pi, cen = self._centred(x)
         return np.einsum("...k,...ki,...k->...i", pi, cen, np.sum(cen * cen, axis=-1))
 
-    def grad_pdf(self, x):
-        return self.pdf(x)[..., None] * self.score(x)
-
-    def laplacian_pdf(self, x):
-        """Laplacian of the density itself: p * (tr hess log p + |grad log p|^2)."""
-        g = self.score(x)
-        h = self.hessian_log(x)
-        return self.pdf(x) * (np.trace(h, axis1=-2, axis2=-1) + np.sum(g * g, axis=-1))
-
     def second_moment(self) -> float:
         """E|X|^2 = sum_k w_k (|mu_k|^2 + tr Sigma)."""
         return float(
@@ -286,14 +206,14 @@ class GaussianMixtureDensity:
         return self.means[comp] + z @ self._chol.T
 
     def cdf_1d(self, x):
-        """Mixture CDF; only defined in dimension 1.  The normal CDF is
-        `_ndtr`, a numpy port of Cephes' ndtr with libm's exp, equal bit for
-        bit to scipy.special.ndtr."""
+        """Mixture CDF; only defined in dimension 1.  Each component's normal
+        CDF is 0.5 erfc(-(x - mu_k) / (sigma sqrt 2)) with libm's erfc
+        (math.erfc), within 2**-52 of scipy.special.ndtr at every double."""
         _require_d("cdf_1d", self.d, 1)
         x = np.asarray(x, dtype=float)
-        std = math.sqrt(self.covariance[0, 0])
-        z = (x[..., None] - self.means[:, 0]) / std
-        return _ndtr(z) @ self.weights
+        z = (x[..., None] - self.means[:, 0]) / (-math.sqrt(2.0 * self.covariance[0, 0]))
+        erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
+        return (0.5 * erfc.reshape(z.shape)) @ self.weights
 
     @cached_property
     def _iqr_1d(self) -> float:
@@ -455,9 +375,10 @@ def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points):
     """
     pts, beta, dt, (law, plus, minus) = _centered_laws("fokker_planck_residual",
                                                        target, schedule, t, points)
-    p = law.pdf(pts)
-    grad = law.grad_pdf(pts)
-    lap = law.laplacian_pdf(pts)
+    p, g = law.pdf(pts), law.score(pts)
+    grad = p[..., None] * g
+    # lap p = p (tr hess log p + |grad log p|^2)
+    lap = p * (np.trace(law.hessian_log(pts), axis1=-2, axis2=-1) + np.sum(g * g, axis=-1))
     dp_dt = (plus.pdf(pts) - minus.pdf(pts)) / (2.0 * dt)
     divergence = target.d * p + np.einsum("...i,...i->...", pts, grad)
     res = dp_dt - 0.5 * beta * divergence - 0.5 * beta * lap

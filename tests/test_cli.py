@@ -837,13 +837,16 @@ def test_a_schedule_file_with_more_alphas_than_its_header_exits_2(tmp_path, caps
      "schedule.n must be int, got [10, 20]"),
     ("experiment = fbsde\nt_index = 1,2\n", "t_index must be int, got [1, 2]"),
     # a t_index off the batch grid: 100 steps of 2 substeps, or 8 steps of the
-    # smallest count in the list
-    ("experiment = fbsde\nt_index = -3\n", "t_index must be in [0, 201), got -3"),
-    ("experiment = fbsde\nt_index = 99999\n", "t_index must be in [0, 201), got 99999"),
+    # smallest count in the list; its last point leaves no interval to check
+    ("experiment = fbsde\nt_index = -3\n", "t_index must be in [0, 200), got -3"),
+    ("experiment = fbsde\nt_index = 99999\n", "t_index must be in [0, 200), got 99999"),
+    ("experiment = fbsde\nt_index = 200\n", "t_index must be in [0, 200), got 200"),
     ("experiment = sign-adjudication\nt_index = -1\n",
-     "t_index must be in [0, 12801), got -1"),
+     "t_index must be in [0, 12800), got -1"),
     ("experiment = sign-adjudication\nschedule.kind = constant\nschedule.n = 8\n"
-     "substeps_list = 64,16\nt_index = 129\n", "t_index must be in [0, 129), got 129"),
+     "substeps_list = 64,16\nt_index = 129\n", "t_index must be in [0, 128), got 129"),
+    ("experiment = sign-adjudication\nschedule.kind = constant\nschedule.n = 8\n"
+     "substeps_list = 64,16\nt_index = 128\n", "t_index must be in [0, 128), got 128"),
     # out of range: a count below 1, a seed that is no 64-bit Philox key word
     ("experiment = tv-pipeline\npaths = 0\n", "paths must be >= 1, got 0"),
     ("experiment = tv-pipeline\nsubsteps = 0\n", "substeps must be >= 1, got 0"),
@@ -881,7 +884,8 @@ def test_a_schedule_file_with_more_alphas_than_its_header_exits_2(tmp_path, caps
      "biases must be finite, got an int beyond 1.8e308"),
 ], ids=["paths_2.5", "substeps_list_4.5", "bias_true", "paths_abc", "seed_x",
         "samples_list", "schedule_n_list", "t_index_list", "fbsde_t_index_-3",
-        "fbsde_t_index_99999", "sign_t_index_-1", "sign_t_index_129", "paths_0", "substeps_0",
+        "fbsde_t_index_99999", "fbsde_t_index_200", "sign_t_index_-1", "sign_t_index_129",
+        "sign_t_index_128", "paths_0", "substeps_0",
         "samples_0", "seed_-3", "seed_2**64", "identity_samples_5",
         "substeps_list_0", "sign_seed_-1", "pde_flag_seed_-1", "pde_seed_2**64",
         "audit_flag_seed_-1", "audit_seed_2**64", "separation_nan", "total_inf",
