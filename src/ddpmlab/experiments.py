@@ -349,22 +349,29 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     paths, seed = _sizes(cfg, "paths", "seed")
     subs = _sweep(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1,
                   why="to check refinement")
+    # an index on the coarsest grid, so that every count starts at one time
     t_index = _number(cfg, "t_index", int, 0, low=0, below=schedule.n * subs[0])
+    for s_count in subs[1:]:
+        if t_index * s_count % subs[0]:
+            raise ConfigError(f"t_index {t_index} on the {subs[0]}-substep grid is "
+                              f"{t_index * s_count / subs[0]:g} on the {s_count}-substep "
+                              f"grid, not a point of it")
     size, pde = _pde_residuals(cfg, target, schedule)
     # longest first, so the run memo holds the one noise block whose prefixes
     # serve every shorter batch
     residuals = []
     for s_count in reversed(subs):
         batch = reverse_sde(target, schedule, s_count, paths, seed)
-        residuals.append((batch.times[t_index], fbsde_mod.bsde_residual_both(
-            target, schedule, batch, t_index)))
+        start = t_index * s_count // subs[0]
+        residuals.append((batch.times[start], fbsde_mod.bsde_residual_both(
+            target, schedule, batch, start)))
     rows = []
     curves = {-1: [], 1: []}
     for t, both in reversed(residuals):
         for sign in (-1, 1):
             st = both[sign]
             curves[sign].append(st.rms)
-            rows.append((t_index, t, sign, st.rms, st.max, st.paths, st.substeps))
+            rows.append((st.t_index, t, sign, st.rms, st.max, st.paths, st.substeps))
     metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
                            "t_index,t,sign,rms,max,paths,substeps", rows)
     vanish = -1 if curves[-1][-1] < curves[1][-1] else 1

@@ -50,6 +50,7 @@ __all__ = [
 # Sign of the 1/2 int beta Y dr term selected by the Gaussian oracle.
 ADJUDICATED_DRIFT_SIGN = -1
 _REGRESSION_PATHS = 10_000  # the fewest kept paths yast_check's regression fits
+_BLOCK_FLOATS = 8192  # floats of one block's Hessians in the backward-SDE walk
 
 
 def _gaussian_oracle(target: MixtureTarget) -> bool:
@@ -64,16 +65,33 @@ def f_weight(schedule: NoiseSchedule, t) -> np.ndarray:
 
 
 def _along(target, schedule, batch, start):
-    """(beta_k, law of X at reverse time t_k, X_k) for each substep k from
-    `start`, streaming over the batch grid, with beta_k constant over the
-    substep."""
+    """(k, betas, family, X) for each block of T substeps from `start` to the
+    end of the batch grid: the block's first index k, its betas (T,), each
+    constant over its substep, the family of the laws of X at its reverse
+    times, and X (T, paths, d), a slab of the time-major record.  T is the most
+    steps whose (T, paths, d, d) Hessians fit _BLOCK_FLOATS, and at least one."""
     times = batch.times
     if (times.size - 1) % schedule.n != 0:
         raise ValueError("batch grid does not refine the schedule intervals")
     betas = _reverse_grid(schedule, (times.size - 1) // schedule.n)[2]
-    laws = target.marginal_at(schedule, 1.0 - times[start:-1])
-    for k, law in enumerate(laws, start):
-        yield betas[k], law, batch.states[:, k]
+    family = target._family(schedule, 1.0 - times[start:-1])
+    states = batch.states.transpose(1, 0, 2)
+    size = max(1, _BLOCK_FLOATS // (batch.paths * batch.d * batch.d))
+    for k in range(start, times.size - 1, size):
+        end = min(k + size, times.size - 1)
+        yield k, betas[k:end], family._view(slice(k - start, end - start)), states[k:end]
+
+
+def _fold(acc, terms):
+    """acc + terms[0] + terms[1] + ..., added in that order: the bits of a loop
+    of acc += row.  A reduce along axis 0 adds a C-contiguous block's rows in
+    order, unless each row is one number: then it sums them pairwise."""
+    terms[0] += acc
+    if len(terms) == 1:  # no reduce, and no new (paths, d) array per step
+        return terms[0]
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _check_batch(batch: TrajectoryBatch):
@@ -107,15 +125,15 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     ito = np.zeros((batch.paths, batch.d))
     terminal = target.score(batch.states[:, -1])
     y_t = terminal  # Y_1, as the law at time 0 is the target itself
-    for k, (beta, law, xk) in enumerate(_along(target, schedule, batch, t_index),
-                                        t_index):
-        yk = law.score(xk)
+    noises = batch.noises.transpose(1, 0, 2)
+    for k, betas, family, x in _along(target, schedule, batch, t_index):
+        y = family.score(x)
         if k == t_index:
-            y_t = yk
-        zk = math.sqrt(beta) * law.hessian_log(xk)
-        dw = math.sqrt(h) * batch.noises[:, k]
-        drift += beta * yk * h
-        ito += np.einsum("pij,pj->pi", zk, dw)
+            y_t = y[0]
+        z = np.sqrt(betas)[:, None, None, None] * family.hessian_log(x)
+        dw = math.sqrt(h) * noises[k:k + betas.size]
+        drift = _fold(drift, betas[:, None, None] * y * h)
+        ito = _fold(ito, np.einsum("tpij,tpj->tpi", z, dw))
     out = {}
     for sign in (-1, 1):
         res = terminal - y_t - sign * 0.5 * drift - ito
@@ -134,8 +152,9 @@ def z_energy(target: MixtureTarget, schedule: NoiseSchedule,
     keep = _kept_paths("z_energy", batch.diverged)
     h = batch.times[1] - batch.times[0]
     acc = np.zeros(batch.paths)
-    for beta, law, x in _along(target, schedule, batch, 0):
-        acc += beta * np.sum(law.hessian_log(x) ** 2, axis=(-2, -1)) * h
+    for _, betas, family, x in _along(target, schedule, batch, 0):
+        energy = np.sum(family.hessian_log(x) ** 2, axis=(-2, -1))
+        acc = _fold(acc, betas[:, None] * energy * h)
     return float(acc[keep].mean())
 
 
@@ -179,15 +198,17 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     h = times[1] - times[0]
     integral = np.zeros((batch.paths, batch.d))  # left-point sum of g(r) Y_r
     quad = 0.0  # Gaussian oracle: the sum of g(r) E*[Y_r | X_t], per unit of -dev
-    for k, (beta, law, x) in enumerate(_along(target, schedule, batch, t_index),
-                                       t_index):
-        yk = law.score(x)
+    for k, betas, family, x in _along(target, schedule, batch, t_index):
+        y = family.score(x)
         if k == t_index:
-            y_t = yk[keep]
-        g_r = float(schedule.integrated_beta(law.t))
-        g = beta * math.exp(0.5 * g_r)
-        integral += g * yk * h
-        quad += g * math.exp(-0.5 * (g_t - g_r)) * h
+            y_t = y[0][keep]
+        # per step in Python floats: np.exp may differ from math.exp in the last ulp
+        gs = []
+        for beta, t_r in zip(betas, family.t):
+            g_r = float(schedule.integrated_beta(t_r))
+            gs.append(beta * math.exp(0.5 * g_r))
+            quad += gs[-1] * math.exp(-0.5 * (g_t - g_r)) * h
+        integral = _fold(integral, np.array(gs)[:, None, None] * y * h)
     integral = integral[keep]
 
     tower = f_t * integral - y_t

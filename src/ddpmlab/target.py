@@ -76,13 +76,14 @@ def _factored(weights, means, covariance) -> dict:
 
 
 def _product(a, b):
-    """a @ b.  At inner dimension 1 (d = 1) a broadcast multiply (by a float if b
-    is one number) forms the same one product per entry, up to a zero's sign
-    that the kernel's next +0 or nonzero term washes out.  A one-number a stays
-    on np.dot, whose BLAS axpy skips a zero a: logpdf(inf) stays -inf, not NaN."""
-    if b.shape[0] != 1:
+    """a @ b, stacked over any leading axes of a family.  At inner dimension 1
+    (d = 1) a broadcast multiply (by a float if b is one number) forms the same
+    one product per entry, up to a zero's sign that the kernel's next +0 or
+    nonzero term washes out.  A single law's one-number a stays on np.dot, whose
+    BLAS axpy skips a zero a: logpdf(inf) stays -inf, not NaN."""
+    if b.shape[-2] != 1:
         return a @ b
-    if a.size == 1:
+    if a.size == 1 and b.ndim == 2:
         return np.dot(a, b)
     return a * (b.item() if b.size == 1 else b)
 
@@ -92,6 +93,11 @@ class GaussianMixtureDensity:
 
     All evaluation methods accept points of shape (..., d) and broadcast
     over the leading axes.  Instances are immutable and thread-safe.
+
+    A family of laws (MixtureTarget._family) holds the same arrays with
+    leading time axes, lead = _p_mu.shape[:-2].  Its posterior_weights, score
+    and hessian_log take points of shape lead + (N, d) and evaluate each slice
+    against its own time's arrays, bit for bit what that time's law gives.
     """
 
     def __init__(self, weights, means, covariance):
@@ -110,19 +116,26 @@ class GaussianMixtureDensity:
 
     @property
     def d(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     @property
     def n_components(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
+
+    def _per_point(self, a):
+        """a, one array per law, with an axis inserted after a family's time
+        axes so that it broadcasts over each law's points; a law's a as it is."""
+        lead = self._p_mu.ndim - 2
+        return np.expand_dims(a, lead) if lead else a
 
     def _logits(self, x):
-        """Logits l_k(x) less their maximum over k, K-major: shape (K, N) for
-        the N points of the array x, so reductions over k run along axis 0."""
-        logits = _product(self._p_mu, x.reshape(-1, x.shape[-1]).T)
+        """Logits l_k(x) less their maximum over k, K-major: shape lead + (K, N)
+        for the N points of the array x, so reductions over k run along axis -2."""
+        points = x.reshape(self._p_mu.shape[:-2] + (-1, x.shape[-1]))
+        logits = _product(self._p_mu, np.swapaxes(points, -1, -2))
         logits += self._logit_offset
-        top = logits.max(axis=0)
-        logits -= top
+        top = logits.max(axis=-2)
+        logits -= top[..., None, :]
         return logits, top
 
     def logpdf(self, x):
@@ -147,12 +160,12 @@ class GaussianMixtureDensity:
             return np.ones(x.shape[:-1] + (1,))
         pi = self._logits(x)[0]
         np.exp(pi, out=pi)
-        total = pi.sum(axis=0)
+        total = pi.sum(axis=-2)
         # normalised column by column into the output: a transposed view would
         # hand BLAS a layout whose rounding in score depends on the batch size
-        out = np.empty((pi.shape[1], self.n_components))
-        for k, row in enumerate(pi):
-            np.divide(row, total, out=out[:, k])
+        out = np.empty(total.shape + (self.n_components,))
+        for k in range(self.n_components):
+            np.divide(pi[..., k, :], total, out=out[..., k])
         return out.reshape(x.shape[:-1] + (self.n_components,))
 
     def score(self, x):
@@ -160,7 +173,8 @@ class GaussianMixtureDensity:
         component a new P mu + 0.0 - P x (1 P mu turns a -0 into +0 too)."""
         x = np.asarray(x, dtype=float)
         if self.n_components == 1:
-            return np.subtract(self._p_mu[0] + 0.0, _product(x, self.precision))
+            return np.subtract(self._per_point(self._p_mu[..., 0, :]) + 0.0,
+                               _product(x, self.precision))
         s = self.posterior_weights(x) @ self._p_mu
         s -= _product(x, self.precision)
         return s
@@ -168,15 +182,16 @@ class GaussianMixtureDensity:
     def _centred(self, x):
         """pi and the rows c_k = P mu_k - sum_j pi_j P mu_j; shape (..., K, d)."""
         pi = self.posterior_weights(x)
-        return pi, self._p_mu - (pi @ self._p_mu)[..., None, :]
+        return pi, self._per_point(self._p_mu) - (pi @ self._p_mu)[..., None, :]
 
     def hessian_log(self, x):
         """hess log p(x) = -P + sum_k pi_k c_k c_k^T, shape (..., d, d); with one
         component a new +0 - P at every x (-P would make a +0 of P a -0)."""
+        prec = self._per_point(self.precision)
         if self.n_components == 1:
-            return np.zeros(np.shape(x)[:-1] + (self.d, self.d)) - self.precision
+            return np.zeros(np.shape(x)[:-1] + (self.d, self.d)) - prec
         pi, cen = self._centred(x)
-        return np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - self.precision
+        return np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - prec
 
     def score_laplacian(self, x):
         """Componentwise Laplacian of the score, shape (..., d): the (k, a, a)
@@ -248,18 +263,24 @@ class MixtureTarget(GaussianMixtureDensity):
     def marginal_at(self, schedule, t):
         """Law of the forward process at time t (exact OU pushforward).
 
-        A 1-D array of times gives a tuple of laws from one stacked build: one
-        bridge call, one batched Cholesky and one batched inverse, then a view
-        per time.  Every array is bit-identical to the validating constructor
-        GaussianMixtureDensity(w, m mu, m^2 Sigma + s^2 I); a scalar t is the
-        one-element case."""
+        A 1-D array of times gives a tuple of laws, each a view of one stacked
+        build (_family).  Every array is bit-identical to the validating
+        constructor GaussianMixtureDensity(w, m mu, m^2 Sigma + s^2 I); a
+        scalar t is the one-element case."""
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError("t must be a scalar or a 1-D array of times")
-        flat = times.reshape(-1)
-        if not np.all((flat >= 0.0) & (flat <= 1.0)):
+        family = self._family(schedule, times.reshape(-1))
+        laws = tuple(family._view(i) for i in range(len(family.t)))
+        return laws if times.ndim else laws[0]
+
+    def _family(self, schedule, times):
+        """The laws at a 1-D array of times as one MarginalLaw whose arrays keep
+        a leading time axis: one bridge call, one batched Cholesky and one
+        batched inverse.  Its t, m and s are lists of floats."""
+        if not np.all((times >= 0.0) & (times <= 1.0)):
             raise ValueError("t must lie in [0, 1]")
-        br = schedule.bridge(0.0, flat)
+        br = schedule.bridge(0.0, times)
         ms, ss = br.m.tolist(), br.s.tolist()
         # squared as Python floats (libm pow), as a single law's m**2 always
         # was: numpy squaring (m*m) differs from pow in the last ulp for about
@@ -267,18 +288,12 @@ class MixtureTarget(GaussianMixtureDensity):
         m2 = np.array([m**2 for m in ms])[:, None, None]
         s2 = np.array([s**2 for s in ss])[:, None, None]
         w = self.weights / self.weights.sum()
-        arrays = _factored(np.broadcast_to(w, (flat.size, w.size)),
-                           br.m[:, None, None] * self.means,
-                           m2 * self.covariance + s2 * np.eye(self.d))
-        laws = []
-        for i, ti in enumerate(flat.tolist()):
-            law = object.__new__(MarginalLaw)
-            # setattr keeps the compact shared-key instance dict
-            for k, v in arrays.items():
-                setattr(law, k, v[i])
-            law.t, law.m, law.s, law.target = ti, ms[i], ss[i], self
-            laws.append(law)
-        return tuple(laws) if times.ndim else laws[0]
+        family = object.__new__(MarginalLaw)
+        vars(family).update(_factored(np.broadcast_to(w, (times.size, w.size)),
+                                      br.m[:, None, None] * self.means,
+                                      m2 * self.covariance + s2 * np.eye(self.d)))
+        family.t, family.m, family.s, family.target = times.tolist(), ms, ss, self
+        return family
 
     def growth_constants(self) -> GrowthConstants:
         return growth_constants(self)
@@ -287,8 +302,18 @@ class MixtureTarget(GaussianMixtureDensity):
 class MarginalLaw(GaussianMixtureDensity):
     """Time-t law of the noised target: means shrink by m, covariance
     becomes m^2 Sigma + s^2 I with (m, s) the bridge coefficients over [0, t].
-    Built by MixtureTarget.marginal_at; carries t, m, s and the target.
+    Built by MixtureTarget.marginal_at; carries t, m, s and the target.  A
+    family of them (MixtureTarget._family) stacks every array along time.
     """
+
+    def _view(self, index):
+        """The law at an int index of a family's time axis, or the family of a
+        slice of it; every array a view."""
+        law = object.__new__(MarginalLaw)
+        # setattr keeps the compact shared-key instance dict
+        for key, value in vars(self).items():
+            setattr(law, key, value if key == "target" else value[index])
+        return law
 
 
 def gaussian_target(mean, precision=None) -> MixtureTarget:

@@ -406,6 +406,33 @@ seed = 3
     assert "PASS signs_agree" in summary
 
 
+SIGN_SMALL = ("experiment = sign-adjudication\ntarget.kind = gaussian\ntarget.mean = 1.5\n"
+              "schedule.kind = constant\nschedule.n = 8\nschedule.total = 2.0\n"
+              "paths = 64\ngrid = 401\nseed = 3\n")
+
+
+def test_sign_adjudication_reads_t_index_on_its_coarsest_grid(tmp_path):
+    # index 8 of the 16-substep grid is t = 0.0625, which is index 16 of the
+    # 32-substep grid and 32 of the 64-substep one: every count starts there
+    cfg = write(tmp_path, "sign.cfg", SIGN_SMALL + "substeps_list = 64,16,32\nt_index = 8\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    with open(out / "bsde_residuals.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["t_index"], r["t"], r["substeps"]) for r in rows[::2]] == [
+        ("8", "0.0625", "16"), ("16", "0.0625", "32"), ("32", "0.0625", "64")]
+
+
+def test_sign_adjudication_t_index_off_a_finer_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # index 1 of the 16-substep grid is 1.5 of the 24-substep one, no grid point
+    monkeypatch.setattr(simulate, "path_generator",
+                        lambda *args: pytest.fail("simulated"))
+    cfg = write(tmp_path, "sign.cfg", SIGN_SMALL + "substeps_list = 24,16\nt_index = 1\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: t_index 1 on the 16-substep grid is 1.5 "
+                                       "on the 24-substep grid, not a point of it\n")
+
+
 def test_plotdata(tmp_path):
     residuals = write(tmp_path, "res.csv",
                       "t_index,t,sign,rms,max,paths,substeps\n"

@@ -5,12 +5,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, _along, _poly_basis,
-                           bsde_residual_both, f_weight, h_martingale_check,
-                           pde_residual, yast_check, z_energy)
+from ddpmlab import fbsde
+from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, ResidualStats, YastReport, _along,
+                           _poly_basis, bsde_residual_both, f_weight,
+                           h_martingale_check, pde_residual, yast_check, z_energy)
 from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import reverse_sde
+from ddpmlab.simulate import _reverse_grid, reverse_sde
 from ddpmlab.target import (MixtureTarget, default_axis, fokker_planck_residual,
                             gaussian_target, growth_constants, symmetric_mixture)
 
@@ -29,16 +30,18 @@ def test_f_weight_identity():
 
 def test_y_and_z_on_the_standard_gaussian():
     # Y = grad log p = -x and Z = sqrt(beta) hess log p = -sqrt(beta) on the
-    # grid laws of the traversal, and Y_1 = -X_1 from the target itself
+    # grid laws of the traversal's blocks, and Y_1 = -X_1 from the target itself
     batch = reverse_sde(GAUSS, SCHED, 16, 64, seed=1)
     beta = 2.0  # constant schedule, total 2
-    points = list(_along(GAUSS, SCHED, batch, 0))
-    assert len(points) == batch.times.size - 1
-    for k, (b, law, x) in enumerate(points):
-        assert np.array_equal(x, batch.states[:, k])
-        assert np.allclose(law.score(x), -x, atol=1e-14)
-        assert np.allclose(math.sqrt(b) * law.hessian_log(x)[:, 0, 0], -math.sqrt(beta),
-                           atol=1e-12)
+    steps = 0
+    for k, betas, family, x in _along(GAUSS, SCHED, batch, 0):
+        assert k == steps
+        assert np.array_equal(x, batch.states[:, k:k + betas.size].transpose(1, 0, 2))
+        assert np.allclose(family.score(x), -x, atol=1e-14)
+        assert np.allclose(np.sqrt(betas)[:, None] * family.hessian_log(x)[..., 0, 0],
+                           -math.sqrt(beta), atol=1e-12)
+        steps += betas.size
+    assert steps == batch.times.size - 1
     assert np.allclose(GAUSS.score(batch.states[:, -1]), -batch.states[:, -1], atol=1e-14)
 
 
@@ -72,12 +75,12 @@ def test_bsde_residual_terminal_index_is_zero():
 @pytest.mark.parametrize("t_index", [0, 5, 64, 127, 128])
 def test_bsde_residual_takes_y_t_from_its_traversal(monkeypatch, t_index):
     # Y_t is the score at the traversal's first point, so the laws are built
-    # once; at the last grid point Y_1 is the terminal score
+    # once, as one family; at the last grid point Y_1 is the terminal score
     batch = reverse_sde(MIX, SCHED, 16, 64, seed=6)  # 128 steps
     built = []
-    marginal_at = MixtureTarget.marginal_at
-    monkeypatch.setattr(MixtureTarget, "marginal_at", lambda self, schedule, t: (
-        built.append(np.size(t)) or marginal_at(self, schedule, t)))
+    family = MixtureTarget._family
+    monkeypatch.setattr(MixtureTarget, "_family", lambda self, schedule, t: (
+        built.append(np.size(t)) or family(self, schedule, t)))
     both = bsde_residual_both(MIX, SCHED, batch, t_index)
     assert built == [128 - t_index]
     if t_index == 128:
@@ -137,12 +140,12 @@ def test_yast_regression_mode_mixture():
 @pytest.mark.parametrize("t_index", [0, 5, 64, 127])
 def test_yast_check_takes_y_t_from_its_traversal(monkeypatch, t_index):
     # Y_t is the traversal's first score on the kept paths, and the
-    # Gaussian-oracle quadrature is summed in the same loop
+    # Gaussian-oracle quadrature is summed in the same loop over one family
     batch = reverse_sde(GAUSS, SCHED, 16, 64, seed=6)  # 128 steps
     built = []
-    marginal_at = MixtureTarget.marginal_at
-    monkeypatch.setattr(MixtureTarget, "marginal_at", lambda self, schedule, t: (
-        built.append(np.size(t)) or marginal_at(self, schedule, t)))
+    family = MixtureTarget._family
+    monkeypatch.setattr(MixtureTarget, "_family", lambda self, schedule, t: (
+        built.append(np.size(t)) or family(self, schedule, t)))
     rep = yast_check(GAUSS, SCHED, batch, t_index)
     assert built == [128 - t_index]
     assert rep.mode == "gaussian" and rep.paths == 64
@@ -312,3 +315,158 @@ def test_poly_basis_two_dimensional_monomials():
     basis = _poly_basis(x)
     assert basis.shape == (50, 10)
     assert np.array_equal(basis, expected)
+
+
+# The per-step walk the blocked one replaced: one law and one kernel call per
+# grid point, the sums added step by step.  The blocked forms must give its bits.
+
+def _per_step(target, schedule, batch, start):
+    betas = _reverse_grid(schedule, (batch.times.size - 1) // schedule.n)[2]
+    laws = target.marginal_at(schedule, 1.0 - batch.times[start:-1])
+    for k, law in enumerate(laws, start):
+        yield k, betas[k], law, batch.states[:, k]
+
+
+def _bsde_reference(target, schedule, batch, t_index):
+    keep = ~batch.diverged
+    h = batch.times[1] - batch.times[0]
+    drift = np.zeros((batch.paths, batch.d))
+    ito = np.zeros((batch.paths, batch.d))
+    terminal = target.score(batch.states[:, -1])
+    y_t = terminal
+    for k, beta, law, xk in _per_step(target, schedule, batch, t_index):
+        yk = law.score(xk)
+        if k == t_index:
+            y_t = yk
+        zk = math.sqrt(beta) * law.hessian_log(xk)
+        dw = math.sqrt(h) * batch.noises[:, k]
+        drift += beta * yk * h
+        ito += np.einsum("pij,pj->pi", zk, dw)
+    out = {}
+    for sign in (-1, 1):
+        res = terminal - y_t - sign * 0.5 * drift - ito
+        norms = np.sqrt(np.sum(res**2, axis=-1))[keep]
+        out[sign] = ResidualStats(
+            rms=float(np.sqrt(np.mean(norms**2))), max=float(norms.max()),
+            paths=int(keep.sum()), substeps=(batch.times.size - 1) // schedule.n,
+            t_index=t_index, drift_sign=sign)
+    return out
+
+
+def _z_energy_reference(target, schedule, batch):
+    h = batch.times[1] - batch.times[0]
+    acc = np.zeros(batch.paths)
+    for _, beta, law, x in _per_step(target, schedule, batch, 0):
+        acc += beta * np.sum(law.hessian_log(x) ** 2, axis=(-2, -1)) * h
+    return float(acc[~batch.diverged].mean())
+
+
+def _yast_sums_reference(target, schedule, batch, t_index):
+    """Y_t on the kept paths, the realized integral and the oracle quadrature."""
+    keep = ~batch.diverged
+    g_t = float(schedule.integrated_beta(1.0 - batch.times[t_index]))
+    h = batch.times[1] - batch.times[0]
+    integral = np.zeros((batch.paths, batch.d))
+    quad = 0.0
+    for k, beta, law, x in _per_step(target, schedule, batch, t_index):
+        yk = law.score(x)
+        if k == t_index:
+            y_t = yk[keep]
+        g_r = float(schedule.integrated_beta(law.t))
+        g = beta * math.exp(0.5 * g_r)
+        integral += g * yk * h
+        quad += g * math.exp(-0.5 * (g_t - g_r)) * h
+    return y_t, integral[keep], quad
+
+
+def _gaussian_yast_reference(target, schedule, batch, t_index):
+    """yast_check's Gaussian-oracle report from the per-step sums."""
+    y_t, integral, quad = _yast_sums_reference(target, schedule, batch, t_index)
+    t = float(batch.times[t_index])
+    f_t = float(f_weight(schedule, t))
+    g_t = float(schedule.integrated_beta(1.0 - t))
+    x_t = batch.states[~batch.diverged, t_index]
+    tower = f_t * integral - y_t
+    resid = f_t * (-(x_t - math.exp(-0.5 * g_t) * target.means[0])) * quad - y_t
+    rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=-1))))
+    scale = float(np.sqrt(np.mean(np.sum(y_t**2, axis=-1))))
+    return YastReport(mode="gaussian", rms=rms, rms_relative=rms / max(scale, 1e-300),
+                      tower_gap=float(np.abs(tower.mean(axis=0)).max()),
+                      tower_se=float((tower.std(axis=0) / math.sqrt(x_t.shape[0])).max()),
+                      paths=int(x_t.shape[0]), t_index=t_index)
+
+
+ANISO = MixtureTarget([0.2, 0.5, 0.3], [[-1.0, 0.5, 0.0], [1.2, -0.4, 0.8], [0.1, 1.5, -1.1]],
+                      [[2.0, 0.3, -0.2], [0.3, 0.7, 0.1], [-0.2, 0.1, 1.4]])
+
+# (target, schedule, substeps, paths, chunk): 300 one-dimensional paths make
+# blocks of 27 steps and 100 three-dimensional ones blocks of 9, neither
+# dividing the walk; a chunk of 128 copies the noises out of three blocks
+BLOCK_CASES = {
+    "shifted_uneven": (SHIFTED, SCHED, 16, 300, None),
+    "mixture_chunked": (MIX, SCHED, 8, 300, 128),
+    "aniso_3d_uneven": (ANISO, constant_rate(5, 2.0), 4, 100, None),
+    "one_path": (MIX, SCHED, 4, 1, None),
+    "gaussian_uneven": (GAUSS, SCHED, 16, 300, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_blocked_walk_equals_the_per_step_walk_bit_for_bit(name):
+    target, sched, substeps, paths, chunk = BLOCK_CASES[name]
+    batch = reverse_sde(target, sched, substeps, paths, seed=13, chunk=chunk)
+    last = batch.times.size - 1
+    assert last % max(1, fbsde._BLOCK_FLOATS // (paths * target.d ** 2)) != 0
+    for t_index in (0, 5, last - 1, last):
+        assert (bsde_residual_both(target, sched, batch, t_index)
+                == _bsde_reference(target, sched, batch, t_index)), t_index
+    assert z_energy(target, sched, batch) == _z_energy_reference(target, sched, batch)
+    if fbsde._gaussian_oracle(target):
+        for t_index in (0, 5, last - 1):
+            assert (yast_check(target, sched, batch, t_index)
+                    == _gaussian_yast_reference(target, sched, batch, t_index)), t_index
+
+
+def test_blocked_walk_bit_for_bit_on_a_batch_with_diverged_paths():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = reverse_sde(MIX, constant_rate(10, 120.0), 2, 900, seed=3)
+    assert 0 < batch.diverged.sum() < batch.paths
+    for t_index in (0, 5, 18, 19, 20):
+        assert (bsde_residual_both(MIX, constant_rate(10, 120.0), batch, t_index)
+                == _bsde_reference(MIX, constant_rate(10, 120.0), batch, t_index))
+    assert (z_energy(MIX, constant_rate(10, 120.0), batch)
+            == _z_energy_reference(MIX, constant_rate(10, 120.0), batch))
+
+
+@pytest.mark.parametrize("t_index", [0, 5, 63])
+def test_blocked_yast_regression_sums_bit_for_bit(monkeypatch, t_index):
+    # regression mode fits the realized integral: the lstsq input must be the
+    # per-step walk's, and so must Y_t
+    sched = constant_rate(16, 4.0)
+    batch = reverse_sde(MIX, sched, 4, 10_000, seed=10)
+    seen = {}
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (
+        seen.setdefault("integral", b), lstsq(a, b, rcond=rcond))[1])
+    rep = yast_check(MIX, sched, batch, t_index)
+    y_t, integral, _ = _yast_sums_reference(MIX, sched, batch, t_index)
+    assert rep.mode == "regression"
+    assert np.array_equal(seen["integral"], integral)
+    f_t = float(f_weight(sched, batch.times[t_index]))
+    tower = f_t * integral - y_t
+    assert rep.tower_gap == float(np.abs(tower.mean(axis=0)).max())
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (37, 1, 1), (37, 1), (9, 256, 1),
+                                   (5, 4, 3), (40, 2)])
+def test_block_fold_adds_rows_in_grid_order(shape):
+    # the carry plus the block's rows, in order: a reduce along axis 0 sums
+    # (37, 1, 1) pairwise, which a loop of += does not
+    rng = np.random.default_rng(sum(shape))
+    terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    carry = rng.normal(size=shape[1:])
+    want = carry.copy()
+    for row in terms:
+        want += row
+    assert np.array_equal(fbsde._fold(carry, terms.copy()), want)

@@ -301,6 +301,35 @@ def test_kernel_on_a_row_slice_one_dimensional_many_components(k):
     _slice_matches_batch(1, k, 0, 4, 1, 4)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.integers(1, 9), st.sampled_from([1, 2, 3, 257]),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(1, 8, 257, 4, 0)
+@example(1, 9, 257, 4, 1)
+@example(1, 8, 1, 3, 2)
+@example(1, 9, 2, 3, 3)
+def test_kernel_on_a_stacked_family_equals_each_law(d, k, n, steps, seed):
+    # a family holds every law's arrays along a leading time axis; its kernel
+    # on (T, N, d) points gives, slice by slice, the bits of that time's law,
+    # NaN and +/-inf rows included
+    rng = np.random.default_rng(seed)
+    target = _random_target(rng, d, k, 0.5)
+    times = np.concatenate([[0.0, 1.0], rng.uniform(size=steps)])[rng.permutation(steps + 2)]
+    family, laws = target._family(SCHED, times), target.marginal_at(SCHED, times)
+    x = rng.normal(scale=4.0, size=(times.size, n, d))
+    bad = rng.random(x.shape[:-1]) < 0.2
+    x[bad, rng.integers(0, d, bad.sum())] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name in ("posterior_weights", "score", "hessian_log"):
+            got = getattr(family, name)(x)
+            want = np.stack([getattr(law, name)(rows) for law, rows in zip(laws, x)])
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want, equal_nan=True), name
+            number = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number])), name
+
+
 @pytest.mark.parametrize("d, k", [(1, 2), (3, 6)])
 def test_posterior_weights_far_tail(d, k):
     # at |x| = 1e6 the logits are ~1e6 apart: exp without the max shift
