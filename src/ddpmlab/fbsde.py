@@ -127,10 +127,10 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     y_t = terminal  # Y_1, as the law at time 0 is the target itself
     noises = batch.noises.transpose(1, 0, 2)
     for k, betas, family, x in _along(target, schedule, batch, t_index):
-        y = family.score(x)
+        y, hess = family._derivatives(x, 2)
         if k == t_index:
             y_t = y[0]
-        z = np.sqrt(betas)[:, None, None, None] * family.hessian_log(x)
+        z = np.sqrt(betas)[:, None, None, None] * hess
         dw = math.sqrt(h) * noises[k:k + betas.size]
         drift = _fold(drift, betas[:, None, None] * y * h)
         ito = _fold(ito, np.einsum("tpij,tpj->tpi", z, dw))
@@ -204,8 +204,7 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
             y_t = y[0][keep]
         # per step in Python floats: np.exp may differ from math.exp in the last ulp
         gs = []
-        for beta, t_r in zip(betas, family.t):
-            g_r = float(schedule.integrated_beta(t_r))
+        for beta, g_r in zip(betas, schedule.integrated_beta(family.t).tolist()):
             gs.append(beta * math.exp(0.5 * g_r))
             quad += gs[-1] * math.exp(-0.5 * (g_t - g_r)) * h
         integral = _fold(integral, np.array(gs)[:, None, None] * y * h)
@@ -260,9 +259,7 @@ def pde_residual(target: MixtureTarget, schedule: NoiseSchedule, t: float,
         raise ValueError("rhs_sign must be +1 or -1")
     pts, beta, dt, (law, plus, minus) = _centered_laws("pde_residual", target,
                                                        schedule, t, points, reverse=True)
-    u = law.score(pts)
-    hess = law.hessian_log(pts)
-    lap_u = law.score_laplacian(pts)
+    u, hess, lap_u = law._derivatives(pts, 3)
     du_dt = (plus.score(pts) - minus.score(pts)) / (2.0 * dt)
     velocity = 0.5 * beta * pts + beta * u
     convection = np.einsum("...kj,...j->...k", hess, velocity)

@@ -94,10 +94,10 @@ class GaussianMixtureDensity:
     All evaluation methods accept points of shape (..., d) and broadcast
     over the leading axes.  Instances are immutable and thread-safe.
 
-    A family of laws (MixtureTarget._family) holds the same arrays with
-    leading time axes, lead = _p_mu.shape[:-2].  Its posterior_weights, score
-    and hessian_log take points of shape lead + (N, d) and evaluate each slice
-    against its own time's arrays, bit for bit what that time's law gives.
+    A family of laws (MixtureTarget._family) holds the same arrays with leading
+    time axes, lead = _p_mu.shape[:-2].  Its logpdf, pdf, posterior_weights,
+    score, hessian_log and score_laplacian take points of shape lead + (N, d),
+    each slice evaluated against its own time's arrays: that law's bits.
     """
 
     def __init__(self, weights, means, covariance):
@@ -142,8 +142,8 @@ class GaussianMixtureDensity:
         x = np.asarray(x, dtype=float)
         logits, top = self._logits(x)
         lead = x.shape[:-1]
-        return (self._log_norm - 0.5 * np.sum(x * (x @ self.precision), axis=-1)
-                + top.reshape(lead) + np.log(np.exp(logits).sum(axis=0)).reshape(lead))
+        return (self._per_point(self._log_norm) - 0.5 * np.sum(x * (x @ self.precision), -1)
+                + top.reshape(lead) + np.log(np.exp(logits).sum(axis=-2)).reshape(lead))
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -175,29 +175,38 @@ class GaussianMixtureDensity:
         if self.n_components == 1:
             return np.subtract(self._per_point(self._p_mu[..., 0, :]) + 0.0,
                                _product(x, self.precision))
-        s = self.posterior_weights(x) @ self._p_mu
-        s -= _product(x, self.precision)
-        return s
-
-    def _centred(self, x):
-        """pi and the rows c_k = P mu_k - sum_j pi_j P mu_j; shape (..., K, d)."""
-        pi = self.posterior_weights(x)
-        return pi, self._per_point(self._p_mu) - (pi @ self._p_mu)[..., None, :]
+        return self._derivatives(x, 1)[0]
 
     def hessian_log(self, x):
         """hess log p(x) = -P + sum_k pi_k c_k c_k^T, shape (..., d, d); with one
         component a new +0 - P at every x (-P would make a +0 of P a -0)."""
-        prec = self._per_point(self.precision)
         if self.n_components == 1:
-            return np.zeros(np.shape(x)[:-1] + (self.d, self.d)) - prec
-        pi, cen = self._centred(x)
-        return np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - prec
+            return (np.zeros(np.shape(x)[:-1] + (self.d, self.d))
+                    - self._per_point(self.precision))
+        return self._derivatives(x, 2)[1]
 
     def score_laplacian(self, x):
         """Componentwise Laplacian of the score, shape (..., d): the (k, a, a)
         trace of the third derivative, sum_k pi_k |c_k|^2 c_k."""
-        pi, cen = self._centred(x)
-        return np.einsum("...k,...ki,...k->...i", pi, cen, np.sum(cen * cen, axis=-1))
+        return self._derivatives(x, 3)[2]
+
+    def _derivatives(self, x, order):
+        """[score, hessian_log, score_laplacian][:order] at the points x from one
+        pi, each by its method's operations.  With one component the order-3 read
+        alone forms pi (= 1); its rows c_k = +0 give the closed forms' bits."""
+        x = np.asarray(x, dtype=float)
+        if self.n_components == 1 and order < 3:
+            return [self.score(x), self.hessian_log(x)][:order]
+        pi = self.posterior_weights(x)
+        out = [pi @ self._p_mu]
+        if order > 1:
+            cen = self._per_point(self._p_mu) - out[0][..., None, :]
+            out.append(np.swapaxes(pi[..., None] * cen, -1, -2) @ cen
+                       - self._per_point(self.precision))
+        if order > 2:
+            out.append(np.einsum("...k,...ki,...k->...i", pi, cen, np.sum(cen * cen, axis=-1)))
+        out[0] -= _product(x, self.precision)
+        return out
 
     def second_moment(self) -> float:
         """E|X|^2 = sum_k w_k (|mu_k|^2 + tr Sigma)."""
@@ -400,10 +409,10 @@ def fokker_planck_residual(target: MixtureTarget, schedule, t: float, points):
     """
     pts, beta, dt, (law, plus, minus) = _centered_laws("fokker_planck_residual",
                                                        target, schedule, t, points)
-    p, g = law.pdf(pts), law.score(pts)
+    p, (g, hess) = law.pdf(pts), law._derivatives(pts, 2)
     grad = p[..., None] * g
     # lap p = p (tr hess log p + |grad log p|^2)
-    lap = p * (np.trace(law.hessian_log(pts), axis1=-2, axis2=-1) + np.sum(g * g, axis=-1))
+    lap = p * (np.trace(hess, axis1=-2, axis2=-1) + np.sum(g * g, axis=-1))
     dp_dt = (plus.pdf(pts) - minus.pdf(pts)) / (2.0 * dt)
     divergence = target.d * p + np.einsum("...i,...i->...", pts, grad)
     res = dp_dt - 0.5 * beta * divergence - 0.5 * beta * lap

@@ -12,8 +12,9 @@ from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, ResidualStats, YastReport, _a
 from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import _reverse_grid, reverse_sde
-from ddpmlab.target import (MixtureTarget, default_axis, fokker_planck_residual,
-                            gaussian_target, growth_constants, symmetric_mixture)
+from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
+                            fokker_planck_residual, gaussian_target, growth_constants,
+                            symmetric_mixture)
 
 GAUSS = gaussian_target([0.0])
 SHIFTED = gaussian_target([1.5])
@@ -190,6 +191,42 @@ def test_pde_residual_mixture_adjudicated_sign():
     pts = default_axis(MIX, 801)[:, None]
     mx, _, umax = pde_residual(MIX, SCHED, 0.3, pts, ADJUDICATED_DRIFT_SIGN)
     assert mx <= 1e-4 * umax
+
+
+def _counting(monkeypatch, name):
+    """Replace GaussianMixtureDensity.name by a wrapper that counts its calls."""
+    calls, original = [], getattr(GaussianMixtureDensity, name)
+    monkeypatch.setattr(GaussianMixtureDensity, name,
+                        lambda self, x: calls.append(name) or original(self, x))
+    return calls
+
+
+def test_one_pi_per_law_in_pde_residual(monkeypatch):
+    # u, grad u and lap u read one pi at t, the difference one at each of t +/- dt
+    pi = _counting(monkeypatch, "posterior_weights")
+    pde_residual(MIX, SCHED, 0.3, default_axis(MIX, 101)[:, None], -1)
+    assert len(pi) == 3
+    # one component: u and grad u are closed forms, and the Laplacian alone
+    # keeps the general kernel (pi = 1) at t
+    del pi[:]
+    pde_residual(SHIFTED, SCHED, 0.3, default_axis(SHIFTED, 101)[:, None], -1)
+    assert len(pi) == 1
+
+
+@pytest.mark.parametrize("target", [MIX, SHIFTED], ids=["mixture", "gaussian"])
+def test_one_pi_per_block_in_bsde_residual_both(monkeypatch, target):
+    # Y and Z of a block read one pi, the terminal score one more; with one
+    # component the block's Y and Z are score's and hessian_log's closed forms
+    batch = reverse_sde(target, SCHED, 16, 300, seed=6)  # 128 steps, blocks of 27
+    blocks = len(list(_along(target, SCHED, batch, 5)))
+    calls = {name: _counting(monkeypatch, name)
+             for name in ("posterior_weights", "score", "hessian_log")}
+    bsde_residual_both(target, SCHED, batch, 5)
+    assert blocks == 5
+    if target.n_components > 1:
+        assert [len(calls[name]) for name in calls] == [blocks + 1, 1, 0]
+    else:
+        assert [len(calls[name]) for name in calls] == [0, blocks + 1, blocks]
 
 
 def test_pde_rejects_knot_times():

@@ -169,8 +169,9 @@ def test_posterior_weights_layout(d, k, lead):
 
 
 def _product_forms(law, x):
-    """posterior_weights, score and hessian_log in their plain product forms:
-    pi as the C-contiguous copy of the K-major softmax, score = pi @ P mu - x @ P."""
+    """posterior_weights, score, hessian_log and score_laplacian in their plain
+    product forms: pi as the C-contiguous copy of the K-major softmax, score =
+    pi @ P mu - x @ P, and the moments of the centred rows."""
     k = law.n_components
     if k == 1:
         pi = np.ones(x.shape[:-1] + (1,))
@@ -182,7 +183,9 @@ def _product_forms(law, x):
     cen = law._p_mu - (pi @ law._p_mu)[..., None, :]
     return {"posterior_weights": pi,
             "score": pi @ law._p_mu - x @ law.precision,
-            "hessian_log": np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - law.precision}
+            "hessian_log": np.swapaxes(pi[..., None] * cen, -1, -2) @ cen - law.precision,
+            "score_laplacian": np.einsum("...k,...ki,...k->...i", pi, cen,
+                                         np.sum(cen * cen, axis=-1))}
 
 
 def _kernel_case(seed, d, k):
@@ -301,6 +304,13 @@ def test_kernel_on_a_row_slice_one_dimensional_many_components(k):
     _slice_matches_batch(1, k, 0, 4, 1, 4)
 
 
+def _assert_same_bits(got, want, name):
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want, equal_nan=True), name
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number])), name
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 3), st.integers(1, 9), st.sampled_from([1, 2, 3, 257]),
        st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -308,10 +318,13 @@ def test_kernel_on_a_row_slice_one_dimensional_many_components(k):
 @example(1, 9, 257, 4, 1)
 @example(1, 8, 1, 3, 2)
 @example(1, 9, 2, 3, 3)
+@example(1, 3, 3, 1, 4)
+@example(3, 3, 3, 1, 5)
 def test_kernel_on_a_stacked_family_equals_each_law(d, k, n, steps, seed):
     # a family holds every law's arrays along a leading time axis; its kernel
     # on (T, N, d) points gives, slice by slice, the bits of that time's law,
-    # NaN and +/-inf rows included
+    # NaN and +/-inf rows included; at T = N = K (steps 1, n = k = 3) a
+    # reduction over the wrong axis would broadcast and mix times unnoticed
     rng = np.random.default_rng(seed)
     target = _random_target(rng, d, k, 0.5)
     times = np.concatenate([[0.0, 1.0], rng.uniform(size=steps)])[rng.permutation(steps + 2)]
@@ -321,13 +334,52 @@ def test_kernel_on_a_stacked_family_equals_each_law(d, k, n, steps, seed):
     x[bad, rng.integers(0, d, bad.sum())] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ("posterior_weights", "score", "hessian_log"):
-            got = getattr(family, name)(x)
+        for name in KERNEL + ("pdf",):
             want = np.stack([getattr(law, name)(rows) for law, rows in zip(laws, x)])
-            assert got.shape == want.shape, name
-            assert np.array_equal(got, want, equal_nan=True), name
-            number = ~np.isnan(want)
-            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number])), name
+            _assert_same_bits(getattr(family, name)(x), want, name)
+
+
+# signed zeros, infinities and NaN among ordinary values, for the derivative entry
+ENTRY_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 40.0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("d", [1, 3])
+def test_one_pi_entry_equals_the_public_methods(d, k):
+    # one evaluation of pi serves score, hessian_log and score_laplacian: each
+    # read of the entry is bit for bit its method's result (the Laplacian's
+    # product form), on a law and on a family, at every order
+    rng = np.random.default_rng(10 * d + k)
+    target = _random_target(rng, d, k, 0.5)
+    times = np.array([0.0, 0.3, 0.8])
+    x = rng.normal(scale=3.0, size=(times.size, 40, d))
+    x[:, :8] = rng.choice(ENTRY_EDGES, size=(times.size, 8, d))
+    x[:, 8:11] = np.array([0.0, -0.0, np.nan])[:, None]  # whole rows
+    names = ("score", "hessian_log", "score_laplacian")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for law in (target, target.marginal_at(SCHED, 0.4)):
+            want = _product_forms(law, x[0])
+            for order in (1, 2, 3):
+                got = law._derivatives(x[0], order)
+                assert len(got) == order
+                for name, value in zip(names, got):
+                    _assert_same_bits(value, getattr(law, name)(x[0]), name)
+                    _assert_same_bits(value, want[name], name)
+        family = target._family(SCHED, times)
+        for order in (1, 2, 3):
+            for name, value in zip(names, family._derivatives(x, order)):
+                _assert_same_bits(value, getattr(family, name)(x), name)
+
+
+def test_one_pi_per_point_set_in_fokker_planck_residual(monkeypatch):
+    # the density and the score and Hessian at t form the logits twice (pdf,
+    # then the one pi), the densities at t +/- dt once each
+    seen, logits = [], GaussianMixtureDensity._logits
+    monkeypatch.setattr(GaussianMixtureDensity, "_logits",
+                        lambda self, x: seen.append(id(self)) or logits(self, x))
+    fokker_planck_residual(MIX, SCHED, 0.505, np.linspace(-6.0, 6.0, 41))
+    assert sorted(seen.count(law) for law in set(seen)) == [1, 1, 2]
 
 
 @pytest.mark.parametrize("d, k", [(1, 2), (3, 6)])
