@@ -70,14 +70,15 @@ class NoiseSchedule:
         if np.any(alphas <= 0.0) or np.any(alphas >= 1.0):
             raise ValueError("every alpha_i must lie strictly in (0, 1)")
         self._alphas = alphas.copy()
-        self._alphas.flags.writeable = False
         self._log_alphas = np.log(self._alphas)
-        self._log_alphas.flags.writeable = False
         # g knots: g(t_i) = -sum_{k<=i} log alpha_k, g(t_0) = 0
         self._g_knots = np.concatenate(([0.0], np.cumsum(-self._log_alphas)))
-        self._g_knots.flags.writeable = False
         self._times = np.linspace(0.0, 1.0, self.n + 1)
-        self._times.flags.writeable = False
+        self._alpha_bars = np.exp(-self._g_knots[1:])
+        self._sigmas = np.sqrt((1.0 - self._alphas) / self._alphas)
+        for a in (self._alphas, self._log_alphas, self._g_knots, self._times,
+                  self._alpha_bars, self._sigmas):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -94,7 +95,7 @@ class NoiseSchedule:
     @property
     def alpha_bars(self) -> np.ndarray:
         """alpha_bar_i for i = 1..n."""
-        return np.exp(-self._g_knots[1:])
+        return self._alpha_bars
 
     @property
     def alpha_bar_n(self) -> float:
@@ -112,7 +113,7 @@ class NoiseSchedule:
     @property
     def sigmas(self) -> np.ndarray:
         """Per-step sampler noise scales, sigma_i^2 = (1 - alpha_i)/alpha_i."""
-        return np.sqrt((1.0 - self._alphas) / self._alphas)
+        return self._sigmas
 
     def interval_index(self, t):
         """1-based i with t in (t_{i-1}, t_i]; t = 0 maps to i = 1.

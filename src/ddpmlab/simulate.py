@@ -323,9 +323,9 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     a chunk's states x to step(k, x, z, rows), with z the chunk's normal row
     for that step and `rows` the chunk's slice of the batch.  A path whose
     new state is not within `limit` in norm (NaN included) is frozen and
-    flagged in `diverged`.  The per-path norms are taken only when a chunk
-    leaves the box max|x_i| <= limit / (2 sqrt(d)): inside it no norm exceeds
-    limit / 2 beyond rounding, so the rule flags no path (a NaN fails the box).
+    flagged in `diverged`; a chunk masks its states only once one is.  Norms
+    are taken only when a chunk leaves the box max|x_i| <= limit / (2 sqrt(d)),
+    one reduction that NaN fails: inside it no norm exceeds limit / 2 beyond rounding.
     record="full" keeps every state on `times` and the step noises z[1:],
     record="terminal" the first and last states: time-major, viewed transposed.
     """
@@ -346,15 +346,17 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
                            with_uniform=start_state is not None)
         x = z[0].copy() if start_state is None else start_state(u, z[0])
         alive = np.ones(count, dtype=bool)
+        frozen = False  # some path of the chunk is frozen
         rows = slice(begin, begin + count)
         states[0, rows] = x
         if noises is not None:
             noises[:, rows] = z[1:]
         for k in range(steps):
             x_new = step(k, x, z[k + 1], rows)
-            if not (x_new.max() <= box and -x_new.min() <= box):
+            if not np.abs(x_new).max() <= box:
                 alive &= np.sqrt(np.sum(x_new * x_new, axis=-1)) <= limit
-            x = x_new if alive.all() else np.where(alive[:, None], x_new, x)
+                frozen = not alive.all()
+            x = np.where(alive[:, None], x_new, x) if frozen else x_new
             if full:
                 states[k + 1, rows] = x
         if not full:
@@ -414,14 +416,14 @@ def _exact_step(target, schedule, grid, betas, observe=None):
     """Euler-Maruyama step of the reverse SDE with the true marginal score;
     observe(k, x, score, rows), when given, sees the score each step uses."""
     h = 1.0 / betas.size
-    marginals = target.marginal_at(schedule, 1.0 - grid[:-1])
+    scores = [law.score for law in target.marginal_at(schedule, 1.0 - grid[:-1])]
+    betas = betas.tolist()
 
     def step(k, x, z, rows):
-        beta = betas[k]
-        score = marginals[k].score(x)
+        score = scores[k](x)
         if observe is not None:
             observe(k, x, score, rows)
-        return _euler(x, score, beta, h, z)
+        return _euler(x, score, betas[k], h, z)
 
     return step
 

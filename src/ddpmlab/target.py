@@ -56,7 +56,7 @@ def _factored(weights, means, covariance) -> dict:
     """The cached arrays of mixtures with weights (..., K), means (..., K, d)
     and covariances (..., d, d), stacked along the leading axes: the
     symmetrized covariance, its Cholesky factor and inverse (the precision
-    P), the log normalizer, P mu_k and the logit offsets."""
+    P), the log normalizer, P mu_k, P mu_1 + 0.0 and the logit offsets."""
     cov = 0.5 * (covariance + np.swapaxes(covariance, -1, -2))
     try:
         chol = np.linalg.cholesky(cov)
@@ -68,7 +68,7 @@ def _factored(weights, means, covariance) -> dict:
         a.flags.writeable = False
     p_mu = means @ prec
     return dict(weights=weights, means=means, covariance=cov, _chol=chol,
-                precision=prec, _p_mu=p_mu,
+                precision=prec, _p_mu=p_mu, _p_mu_1=p_mu[..., 0, :] + 0.0,
                 _log_norm=(-0.5 * means.shape[-1] * math.log(2.0 * math.pi)
                            - np.log(np.diagonal(chol, 0, -2, -1)).sum(axis=-1)),
                 _logit_offset=(np.log(weights)
@@ -170,11 +170,10 @@ class GaussianMixtureDensity:
 
     def score(self, x):
         """grad log p(x) = sum_k pi_k P mu_k - P x, shape (..., d); with one
-        component a new P mu + 0.0 - P x (1 P mu turns a -0 into +0 too)."""
+        component a new (P mu + 0.0) - P x (1 P mu turns a -0 into +0 too)."""
         x = np.asarray(x, dtype=float)
         if self.n_components == 1:
-            return np.subtract(self._per_point(self._p_mu[..., 0, :]) + 0.0,
-                               _product(x, self.precision))
+            return np.subtract(self._per_point(self._p_mu_1), _product(x, self.precision))
         return self._derivatives(x, 1)[0]
 
     def hessian_log(self, x):
@@ -272,15 +271,18 @@ class MixtureTarget(GaussianMixtureDensity):
     def marginal_at(self, schedule, t):
         """Law of the forward process at time t (exact OU pushforward).
 
-        A 1-D array of times gives a tuple of laws, each a view of one stacked
-        build (_family).  Every array is bit-identical to the validating
-        constructor GaussianMixtureDensity(w, m mu, m^2 Sigma + s^2 I); a
-        scalar t is the one-element case."""
+        A 1-D array of times gives a tuple of laws: one stacked build (_family)
+        split into its rows in one pass, law i holding family._view(i)'s views.
+        Every array is bit-identical to GaussianMixtureDensity(w, m mu, m^2 Sigma
+        + s^2 I), the validating constructor; a scalar t gives one law."""
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError("t must be a scalar or a 1-D array of times")
         family = self._family(schedule, times.reshape(-1))
-        laws = tuple(family._view(i) for i in range(len(family.t)))
+        state = vars(family)
+        columns = [[value] * times.size if key == "target" else value
+                   for key, value in state.items()]
+        laws = tuple(MarginalLaw._of(state, row) for row in zip(*columns))
         return laws if times.ndim else laws[0]
 
     def _family(self, schedule, times):
@@ -315,14 +317,20 @@ class MarginalLaw(GaussianMixtureDensity):
     family of them (MixtureTarget._family) stacks every array along time.
     """
 
+    @staticmethod
+    def _of(keys, values):
+        """A law holding each value under its key."""
+        law = object.__new__(MarginalLaw)
+        # setattr keeps the compact shared-key instance dict
+        for key, value in zip(keys, values):
+            setattr(law, key, value)
+        return law
+
     def _view(self, index):
         """The law at an int index of a family's time axis, or the family of a
         slice of it; every array a view."""
-        law = object.__new__(MarginalLaw)
-        # setattr keeps the compact shared-key instance dict
-        for key, value in vars(self).items():
-            setattr(law, key, value if key == "target" else value[index])
-        return law
+        return MarginalLaw._of(vars(self), [value if key == "target" else value[index]
+                                            for key, value in vars(self).items()])
 
 
 def gaussian_target(mean, precision=None) -> MixtureTarget:

@@ -763,6 +763,39 @@ def test_some_diverging_paths_freeze_at_their_last_in_limit_state(chunk):
         assert np.unique(frozen_at[grown]).size > 1
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_a_frozen_path_stays_frozen_while_its_chunk_is_back_in_the_box(chunk):
+    # a chunk leaves the box with every path alive (path 2 at step 3), loses
+    # path 1 at step 5 and path 4 at step 8, and is inside the box at every
+    # other step: the frozen states must be kept on those steps too, and a box
+    # exit that freezes nothing must not stop a later freeze from holding
+    from ddpmlab.simulate import _integrate
+
+    steps, limit, paths = 12, 1e3, 6
+    for d in (1, 3):
+        box = limit / (2.0 * math.sqrt(d))
+        jumps = {3: (2, np.nextafter(box, np.inf)), 5: (1, 2.0 * limit), 8: (4, np.nan)}
+
+        def step(k, x, z, rows):
+            x_new = 0.5 * x + z
+            row, value = jumps.get(k, (-1, None))
+            if rows.start <= row < rows.stop:
+                x_new[row - rows.start, 0] = value
+            return x_new
+
+        batch = _integrate(5, paths, np.linspace(0.0, 1.0, steps + 1), d, step,
+                           "full", chunk, "test", limit=limit)
+        assert batch.states[2, 4, 0] > box
+        x = batch.states[:, 0].copy()
+        alive = np.ones(paths, dtype=bool)
+        for k in range(steps):
+            cand = step(k, x, batch.noises[:, k], slice(0, paths))
+            alive &= np.sqrt(np.sum(cand * cand, axis=-1)) <= limit
+            x[alive] = cand[alive]
+            np.testing.assert_array_equal(batch.states[:, k + 1], x)
+        assert batch.diverged.tolist() == [False, True, False, False, True, False]
+
+
 @pytest.mark.parametrize("substeps", [1, 2])
 def test_model_mode_reverse_steps_leave_scores_and_noise_untouched(substeps):
     # the steps build their result in place: the frozen score reused across

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from scipy.stats import norm
 from ddpmlab import target as target_mod
 from ddpmlab.schedule import constant_rate, from_linear_variance
 from ddpmlab.simulate import reverse_sde
-from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
-                            fokker_planck_residual, gaussian_target,
+from ddpmlab.target import (GaussianMixtureDensity, MarginalLaw, MixtureTarget,
+                            default_axis, fokker_planck_residual, gaussian_target,
                             growth_constants, load_target, save_target,
                             symmetric_mixture)
 
@@ -520,7 +521,22 @@ EXTREME_SCHEDULES = [constant_rate(20, 36.0), constant_rate(20, 690.0),
                      from_linear_variance(50, 1e-14, 1e-12),
                      from_linear_variance(10, 1e-15, 0.999)]
 CACHED = ("weights", "means", "covariance", "_chol", "precision", "_log_norm",
-          "_p_mu", "_logit_offset")
+          "_p_mu", "_p_mu_1", "_logit_offset")
+
+
+def test_schedule_arrays_built_once_equal_their_expressions():
+    # alpha_bars and sigmas are built in the constructor, read-only like the
+    # knot times, with the expressions each access used to evaluate
+    for sched in EXTREME_SCHEDULES + [SCHED, constant_rate(8, 2.0)]:
+        abar = np.exp(-np.concatenate(([0.0], np.cumsum(-np.log(sched.alphas))))[1:])
+        sig = np.sqrt((1.0 - sched.alphas) / sched.alphas)
+        for got, want in ((sched.alpha_bars, abar), (sched.sigmas, sig)):
+            assert got is not want and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.5
+        assert sched.alpha_bars is sched.alpha_bars and sched.sigmas is sched.sigmas
 
 
 @settings(deadline=None, max_examples=60)
@@ -578,6 +594,65 @@ def test_marginal_at_scalar_is_one_law_of_the_stack():
         for name in CACHED:
             assert np.array_equal(getattr(single, name), getattr(law, name)), name
     assert MIX.marginal_at(SCHED, np.array([])) == ()
+
+
+def _built_family(target, times):
+    """marginal_at(SCHED, times) and the one family it split into its laws."""
+    built, family_of = [], MixtureTarget._family
+    with mock.patch.object(MixtureTarget, "_family",
+                           lambda self, *args: built.append(family_of(self, *args))
+                           or built[-1]):
+        laws = target.marginal_at(SCHED, times)
+    assert len(built) == 1
+    return laws, built[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(0, 6),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, 0, 0)
+@example(3, 9, 6, 1)
+def test_split_laws_hold_the_family_views(d, k, steps, seed):
+    # marginal_at splits its family into laws in one pass: law i holds, key by
+    # key, what family._view(i) holds, and its arrays are views of the family
+    rng = np.random.default_rng(seed)
+    target = _random_target(rng, d, k, 0.5)
+    times = np.concatenate([[0.0, 1.0], rng.uniform(size=steps)])[rng.permutation(steps + 2)]
+    laws, family = _built_family(target, times)
+    assert isinstance(laws, tuple) and len(laws) == times.size
+    for i, law in enumerate(laws):
+        view = family._view(i)
+        assert type(law) is type(view) and list(vars(law)) == list(vars(view))
+        for key, value in vars(view).items():
+            got = getattr(law, key)
+            if key == "target":
+                assert got is value is target
+            elif key in ("t", "m", "s"):
+                assert type(got) is float and got == value == getattr(family, key)[i]
+            else:
+                assert type(got) is type(value), key
+                assert got.shape == value.shape and got.dtype == value.dtype, key
+                assert np.array_equal(got, value), key
+                if isinstance(value, np.ndarray):  # else a row's one float
+                    assert np.shares_memory(got, getattr(family, key)), key
+                    assert got.flags.writeable == value.flags.writeable, key
+                    assert got.__array_interface__ == value.__array_interface__, key
+        want = law._p_mu[0] + 0.0  # the one-component score's term, no -0
+        for got in (law._p_mu_1, family._p_mu_1[i]):
+            assert np.array_equal(got, want) and got.shape == (d,)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert law.t == float(times[i])
+
+
+def test_split_laws_of_a_scalar_and_an_empty_time_array():
+    target = _random_target(np.random.default_rng(3), 2, 3, 0.5)
+    law, family = _built_family(target, 0.25)
+    view = family._view(0)
+    assert type(law) is MarginalLaw and law.t == 0.25
+    for key, value in vars(view).items():
+        if isinstance(value, np.ndarray):
+            assert value.__array_interface__ == getattr(law, key).__array_interface__, key
+    assert _built_family(target, np.array([]))[0] == ()
 
 
 @pytest.mark.parametrize("times", [1.5, -1e-300, math.nan, [0.2, 1.0 + 1e-12, 0.5],
@@ -712,10 +787,12 @@ def test_single_component_shortcut_keeps_the_bits_of_the_product_forms(d, full):
 
 
 def test_single_component_shortcut_adds_a_zero_to_p_mu():
-    # the matmul means @ P never leaves a -0 in P mu; set one by hand: the
-    # product 1 * P mu starts from +0, so the score's term is +0 there too
+    # the matmul means @ P never leaves a -0 in P mu; set one by hand, with the
+    # one-component term _factored derives from it: the product 1 * P mu starts
+    # from +0, so the score's term is +0 there too
     law = gaussian_target([1.0, 2.0])
     law._p_mu = np.array([[-0.0, 2.0]])
+    law._p_mu_1 = law._p_mu[..., 0, :] + 0.0
     x = np.array([[0.0, 1.0], [-0.0, 0.0]])
     want = _product_forms(law, x)["score"]
     assert not np.signbit(want[:, 0]).any()
