@@ -88,7 +88,7 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
 
 def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
                    score_model: ScoreModel, paths: int, substeps: int,
-                   seed: int, chunk=None) -> BoundReport:
+                   seed: int) -> BoundReport:
     """Drift-mismatch bound between the frozen-score and exact reverse laws:
 
         TV(law(Xhat_1), law(X*_1))
@@ -113,9 +113,9 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
 
     exact = _integrate(seed, paths, grid, target.d,
                        _exact_step(target, schedule, grid, betas, observe),
-                       "terminal", chunk, "reverse")
+                       "terminal", "reverse")
     hat = reverse_sde(score_model, schedule, 1, paths, seed,
-                      score_mode="model", record="terminal", chunk=chunk)
+                      score_mode="model", record="terminal")
     keep = _kept_paths(
         "girsanov_bound", exact.diverged | hat.diverged,
         f" ({int(exact.diverged.sum())} on the exact-score path, "

@@ -54,17 +54,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: I/O failure: {exc}", file=sys.stderr)
             return EXIT_IO
-    if args.command == "plotdata":
-        try:
-            plotdata(args.report, args.out)
-        except OSError as exc:
-            print(f"error: I/O failure: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return 0
-    return EXIT_CONFIG
+    try:  # plotdata: argparse requires one of the two commands
+        plotdata(args.report, args.out)
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return 0
 
 
 if __name__ == "__main__":

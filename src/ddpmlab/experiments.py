@@ -36,21 +36,6 @@ _SCHEDULES = {"linear": {"schedule.n", "schedule.v_start", "schedule.v_end"},
               "constant": {"schedule.n", "schedule.total"},
               "file": {"schedule.file"}}
 _BOTH = {"target": _TARGETS, "schedule": _SCHEDULES}
-# Each runner's own keys and the kinds of target and schedule it builds; every
-# run also takes experiment, seed and out.
-_KEYS = {
-    "schedule-audit": ({"gamma1", "gamma2", "expect"}, {"schedule": _SCHEDULES}),
-    "identity": ({"bias", "samples", "rel_tol"}, _BOTH),
-    "fbsde": ({"paths", "substeps", "t_index"}, _BOTH),
-    "pde": ({"t", "grid"}, _BOTH),
-    "sign-adjudication": ({"paths", "substeps_list", "t_index", "t", "grid"}, _BOTH),
-    "tv-pipeline": ({"paths", "substeps", "biases", "samples"}, _BOTH),
-    # sweeps constant-rate schedules only: n comes from n_list
-    "bounds-sweep": ({"paths", "n_list", "totals"},
-                     {"target": _TARGETS, "schedule": {"constant": {"schedule.total"}}}),
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -117,7 +102,7 @@ def parse_config(text: str) -> ExperimentConfig:
     experiment = values["experiment"]
     if not isinstance(experiment, str) or experiment not in _KEYS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    own, tables = _KEYS[experiment]
+    _, own, tables = _KEYS[experiment]
     allowed = own | {"experiment", "seed", "out"}
     kinds = {family: values.get(f"{family}.kind", next(iter(table)))
              for family, table in tables.items()}
@@ -173,7 +158,7 @@ def _sweep(cfg, key, cast, default, low=None, why=None):
 
 @_as_config_error()
 def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
-    kind = cfg.get("target.kind", "mixture")
+    kind = cfg.get("target.kind", next(iter(_TARGETS)))
     if kind == "file":
         return load_target(cfg.require("target.file"))
     if kind == "gaussian":
@@ -186,7 +171,7 @@ def _build_target(cfg: ExperimentConfig) -> MixtureTarget:
 
 @_as_config_error()
 def _build_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
-    kind = cfg.get("schedule.kind", "linear")
+    kind = cfg.get("schedule.kind", next(iter(_SCHEDULES)))
     if kind == "file":
         return load_schedule(cfg.require("schedule.file"))
     n = _number(cfg, "schedule.n", int, 100)
@@ -346,7 +331,9 @@ def _run_pde(cfg, out_dir, summary):
 
 def _run_sign_adjudication(cfg, out_dir, summary):
     target, schedule = _build_target(cfg), _build_schedule(cfg)
-    paths, seed = _sizes(cfg, "paths", "seed")
+    [seed] = _sizes(cfg, "seed")
+    # not _sizes' 20000 paths: each walks up to 1024 substeps of every step
+    paths = _number(cfg, "paths", int, 256, low=1)
     subs = _sweep(cfg, "substeps_list", int, [128, 256, 512, 1024], low=1,
                   why="to check refinement")
     # an index on the coarsest grid, so that every count starts at one time
@@ -507,14 +494,20 @@ def _run_bounds_sweep(cfg, out_dir, summary):
                       "rhs nonincreasing in -log alpha_bar_n")
 
 
-_RUNNERS = {
-    "schedule-audit": _run_schedule_audit,
-    "identity": _run_identity,
-    "fbsde": _run_fbsde,
-    "pde": _run_pde,
-    "sign-adjudication": _run_sign_adjudication,
-    "tv-pipeline": _run_tv_pipeline,
-    "bounds-sweep": _run_bounds_sweep,
+# Each experiment's runner, its own keys and the kinds of target and schedule
+# it builds; every run also takes experiment, seed and out.
+_KEYS = {
+    "schedule-audit": (_run_schedule_audit, {"gamma1", "gamma2", "expect"},
+                       {"schedule": _SCHEDULES}),
+    "identity": (_run_identity, {"bias", "samples", "rel_tol"}, _BOTH),
+    "fbsde": (_run_fbsde, {"paths", "substeps", "t_index"}, _BOTH),
+    "pde": (_run_pde, {"t", "grid"}, _BOTH),
+    "sign-adjudication": (_run_sign_adjudication,
+                          {"paths", "substeps_list", "t_index", "t", "grid"}, _BOTH),
+    "tv-pipeline": (_run_tv_pipeline, {"paths", "substeps", "biases", "samples"}, _BOTH),
+    # sweeps constant-rate schedules only: n comes from n_list
+    "bounds-sweep": (_run_bounds_sweep, {"paths", "n_list", "totals"},
+                     {"target": _TARGETS, "schedule": {"constant": {"schedule.total"}}}),
 }
 
 
@@ -529,7 +522,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     _echo_config(cfg, out_dir)
     summary = Summary()
     with _shared_noise():
-        _RUNNERS[cfg.experiment](cfg, out_dir, summary)
+        _KEYS[cfg.experiment][0](cfg, out_dir, summary)
     summary.write(os.path.join(out_dir, "summary.txt"))
     return 1 if summary.failed else 0
 

@@ -293,8 +293,8 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
         return y / m + math.sqrt(max(0.0, 1.0 / m**2 - 1.0)) * z
 
     # Y grows like exp(int beta / 2) by design; no path is frozen
-    states = _integrate(seed, paths, times, d, step, "full", None,
-                        "auxiliary", limit=math.inf).states
+    states = _integrate(seed, paths, times, d, step, "full", "auxiliary",
+                        limit=math.inf).states
     values = np.column_stack([pref * law.pdf(states[:, k])
                               for k, (pref, law) in enumerate(zip(prefs, laws))])
     means = values.mean(axis=0)

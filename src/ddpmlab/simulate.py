@@ -48,6 +48,7 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e6
 _CHUNK_BUDGET = 8_000_000  # floats per (steps x chunk x d) noise block
+_MIN_CHUNK = 256  # the fewest paths a chunk takes, however long the batch
 _TILE = 32_768  # floats of the path-major tile each block is drawn through
 
 
@@ -72,14 +73,10 @@ def _kept_paths(name: str, diverged, detail: str = "") -> np.ndarray:
     return keep
 
 
-def _chunk_size(paths: int, steps: int, d: int, chunk=None) -> int:
-    if chunk is not None and (isinstance(chunk, bool) or not isinstance(
-            chunk, (int, np.integer)) or chunk < 1):
-        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
+def _chunk_size(paths: int, steps: int, d: int) -> int:
     # no chunk, the last included, holds one path of several: numpy hands a
     # one-row product to BLAS's vector kernel, which rounds differently
-    size = (max(256, min(paths, _CHUNK_BUDGET // max(1, steps * d)))
-            if chunk is None else max(2, int(chunk)))
+    size = max(_MIN_CHUNK, min(paths, _CHUNK_BUDGET // max(1, steps * d)))
     while paths % size == 1 and size < paths:
         size += 1
     return size
@@ -313,7 +310,7 @@ def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
                       _clip=(score_model, envelope, variant))
 
 
-def _integrate(seed, paths, times, d, step, record, chunk, direction,
+def _integrate(seed, paths, times, d, step, record, direction,
                start_state=None, limit=DIVERGENCE_LIMIT) -> TrajectoryBatch:
     """The stepping loop behind every sampler.
 
@@ -336,7 +333,7 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
     steps = times.size - 1
     full = record == "full"
     box = limit / (2.0 * math.sqrt(d))
-    csize = _chunk_size(paths, steps + 1, d, chunk)
+    csize = _chunk_size(paths, steps + 1, d)
     states = np.empty((steps + 1 if full else 2, paths, d))
     noises = np.empty((steps, paths, d)) if full and csize < paths else None
     diverged = np.zeros(paths, dtype=bool)
@@ -371,14 +368,14 @@ def _integrate(seed, paths, times, d, step, record, chunk, direction,
 
 
 def _check_schedule(score_model: ScoreModel, schedule: NoiseSchedule) -> None:
-    if not np.array_equal(score_model.schedule.alphas, schedule.alphas):
+    if score_model.schedule != schedule:
         raise ValueError(
             f"the score model was built on a {score_model.schedule.n}-step "
             f"schedule that differs from the {schedule.n}-step schedule passed")
 
 
 def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
-                  seed: int, record: str = "full", chunk=None) -> TrajectoryBatch:
+                  seed: int, record: str = "full") -> TrajectoryBatch:
     """Forward Markov chain x_i = sqrt(alpha_i) x_{i-1} + sqrt(1-alpha_i) Z_i."""
     sqrt_a = np.sqrt(schedule.alphas)
     sqrt_v = np.sqrt(1.0 - schedule.alphas)
@@ -386,7 +383,7 @@ def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
     def step(k, x, z, rows):
         return sqrt_a[k] * x + sqrt_v[k] * z
 
-    return _integrate(seed, paths, schedule.times, target.d, step, record, chunk,
+    return _integrate(seed, paths, schedule.times, target.d, step, record,
                       "forward", start_state=target._from_draws)
 
 
@@ -443,8 +440,8 @@ def _frozen_score(score_model, interval, substeps):
 
 
 def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
-                seed: int, score_mode: str = "exact", record: str = "full",
-                chunk=None) -> TrajectoryBatch:
+                seed: int, score_mode: str = "exact",
+                record: str = "full") -> TrajectoryBatch:
     """Integrate the reverse-time SDE from X*_0 ~ N(0, I).
 
     score_mode="exact": Euler-Maruyama with the true marginal score at the
@@ -470,7 +467,7 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
     if score_mode == "exact":
         return _integrate(seed, paths, grid, source.d,
                           _exact_step(source, schedule, grid, betas), record,
-                          chunk, "reverse")
+                          "reverse")
     _check_schedule(source, schedule)
     frozen_at = _frozen_score(source, interval, substeps)
     h = 1.0 / betas.size
@@ -480,7 +477,7 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
 
     return _integrate(seed, paths, grid, source.target.d,
                       _ddpm_step(source, schedule, True) if substeps == 1
-                      else euler_step, record, chunk, "reverse")
+                      else euler_step, record, "reverse")
 
 
 def _ddpm_step(score_model, schedule, final_noise):
@@ -504,8 +501,8 @@ def _ddpm_step(score_model, schedule, final_noise):
 
 
 def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
-                seed: int, final_noise: bool = True, record: str = "full",
-                chunk=None) -> TrajectoryBatch:
+                seed: int, final_noise: bool = True,
+                record: str = "full") -> TrajectoryBatch:
     """Run the discrete sampler x*_n = xi_n, then for i = n..1
 
         x*_{i-1} = (x*_i - (1-alpha_i)/sqrt(1-abar_i) z_i(x*_i))/sqrt(alpha_i)
@@ -517,7 +514,7 @@ def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
     _check_schedule(score_model, schedule)
     return _integrate(seed, paths, schedule.times, score_model.target.d,
                       _ddpm_step(score_model, schedule, final_noise), record,
-                      chunk, "ddpm")
+                      "ddpm")
 
 
 def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,

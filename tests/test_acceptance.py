@@ -336,7 +336,9 @@ seed = 9
             identical &= f1.read() == f2.read()
     model = dl.ScoreModel(MIX, dl.constant_rate(10, 2.0), mode="exact")
     a = dl.ddpm_sample(model, dl.constant_rate(10, 2.0), 500, seed=3)
-    b = dl.ddpm_sample(model, dl.constant_rate(10, 2.0), 500, seed=3, chunk=11)
+    monkeypatch.setattr(dl.simulate, "_MIN_CHUNK", 11)  # with no budget: chunks of 11
+    monkeypatch.setattr(dl.simulate, "_CHUNK_BUDGET", 0)
+    b = dl.ddpm_sample(model, dl.constant_rate(10, 2.0), 500, seed=3)
     identical &= bool(np.array_equal(a.states, b.states))
     _report(12, identical, "byte-identical CSVs across chunk budgets and "
                            "chunk-invariant sampler output")

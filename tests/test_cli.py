@@ -52,6 +52,32 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("experiment identity\n")
 
 
+@pytest.mark.parametrize("text, line", [(" = 3\nexperiment = identity\n", 1),
+                                        ("experiment = identity\n# note\n=\n", 3)])
+def test_parse_config_rejects_an_empty_key(text, line):
+    with pytest.raises(ConfigError, match=rf"^line {line}: empty key$"):
+        parse_config(text)
+
+
+def test_sign_adjudication_defaults_to_256_paths(tmp_path):
+    # the bench config without its paths and substeps_list: 256 paths through
+    # the default 128..1024 substeps of 8 intervals, 8193 states a path
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "configs",
+                         "sign_adjudication.cfg")
+    with open(bench) as fh:
+        text = "".join(line for line in fh
+                       if not line.startswith(("paths", "substeps_list")))
+    cfg = write(tmp_path, "sign.cfg", text)
+    out = str(tmp_path / "sign")
+    assert main(["run", cfg, "--seed", "1", "--out", out]) == 0
+    with open(os.path.join(out, "bsde_residuals.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["substeps"]) for r in rows] == [128, 128, 256, 256, 512, 512, 1024, 1024]
+    assert {r["paths"] for r in rows} == {"256"}
+    with open(os.path.join(out, "summary.txt")) as fh:
+        assert fh.read().splitlines()[-1] == "RESULT PASS"
+
+
 def test_schedule_audit_run_pass_and_fail(tmp_path):
     cfg = write(tmp_path, "audit.cfg", """
 experiment = schedule-audit

@@ -1,17 +1,19 @@
 import math
 import warnings
+from contextlib import nullcontext
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ddpmlab import fbsde
+from ddpmlab import fbsde, simulate
 from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, ResidualStats, YastReport, _along,
                            _poly_basis, bsde_residual_both, f_weight,
                            h_martingale_check, pde_residual, yast_check, z_energy)
 from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import _reverse_grid, reverse_sde
+from ddpmlab.simulate import _reverse_grid, forward_chain, reverse_sde
 from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
                             fokker_planck_residual, gaussian_target, growth_constants,
                             symmetric_mixture)
@@ -92,6 +94,25 @@ def test_bsde_requires_noises():
     batch = reverse_sde(SHIFTED, SCHED, 4, 16, seed=5, record="terminal")
     with pytest.raises(ValueError):
         bsde_residual_both(SHIFTED, SCHED, batch, 0)
+
+
+def test_backward_checks_reject_an_index_a_batch_or_a_schedule_they_cannot_walk():
+    batch = reverse_sde(SHIFTED, SCHED, 4, 16, seed=5)
+    last = batch.times.size - 1
+    for t_index in (-1, last + 1):
+        with pytest.raises(ValueError, match=r"^t_index outside the simulation grid$"):
+            bsde_residual_both(SHIFTED, SCHED, batch, t_index)
+    forward = forward_chain(SHIFTED, SCHED, 16, seed=5)
+    with pytest.raises(ValueError, match=r"^expected a reverse batch$"):
+        bsde_residual_both(SHIFTED, SCHED, forward, 0)
+    # 32 substeps of the 8-step schedule do not refine a 3-step one
+    with pytest.raises(ValueError,
+                       match=r"^batch grid does not refine the schedule intervals$"):
+        bsde_residual_both(SHIFTED, constant_rate(3, 2.0), batch, 0)
+    with pytest.raises(ValueError, match=r"^t_index must leave a nonempty interval "
+                                         r"\[t, 1\]$"):
+        yast_check(SHIFTED, SCHED, batch, last)
+    assert yast_check(SHIFTED, SCHED, batch, last - 1).t_index == last - 1
 
 
 def test_z_energy_gaussian_closed_form():
@@ -438,7 +459,8 @@ ANISO = MixtureTarget([0.2, 0.5, 0.3], [[-1.0, 0.5, 0.0], [1.2, -0.4, 0.8], [0.1
 
 # (target, schedule, substeps, paths, chunk): 300 one-dimensional paths make
 # blocks of 27 steps and 100 three-dimensional ones blocks of 9, neither
-# dividing the walk; a chunk of 128 copies the noises out of three blocks
+# dividing the walk; chunks of 128 paths (the samplers' chunk floor, with no
+# budget) copy the noises out of three blocks
 BLOCK_CASES = {
     "shifted_uneven": (SHIFTED, SCHED, 16, 300, None),
     "mixture_chunked": (MIX, SCHED, 8, 300, 128),
@@ -451,7 +473,9 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
 def test_blocked_walk_equals_the_per_step_walk_bit_for_bit(name):
     target, sched, substeps, paths, chunk = BLOCK_CASES[name]
-    batch = reverse_sde(target, sched, substeps, paths, seed=13, chunk=chunk)
+    with (mock.patch.multiple(simulate, _MIN_CHUNK=chunk, _CHUNK_BUDGET=0) if chunk
+          else nullcontext()):
+        batch = reverse_sde(target, sched, substeps, paths, seed=13)
     last = batch.times.size - 1
     assert last % max(1, fbsde._BLOCK_FLOATS // (paths * target.d ** 2)) != 0
     for t_index in (0, 5, last - 1, last):

@@ -374,3 +374,15 @@ def test_score_growth_audit_default_points_in_two_dimensions():
     audit = score_growth_audit(MIX2, SCHED, envelope, t_grid=t_grid)
     assert audit == score_growth_audit(MIX2, SCHED, envelope, t_grid=t_grid, points=points)
     assert audit.ok
+
+
+def test_grid_from_density_refuses_negative_values():
+    with pytest.raises(ValueError, match=r"^density values must be finite and "
+                                         r"nonnegative$"):
+        grid_from_density(lambda x: np.where(x[:, 0] > 0.0, -1e-300, 1.0), [AXIS])
+
+
+def test_score_loss_needs_a_sample():
+    model = ScoreModel(MIX, SCHED, mode="exact")
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        score_loss(MIX, SCHED, model, 0, seed=1)

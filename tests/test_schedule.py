@@ -178,3 +178,33 @@ def test_load_schedule_refuses_alphas_its_header_does_not_count(tmp_path, rows):
     with pytest.raises(ValueError, match=re.escape(
             f"schedule file {path}: header n=3 counts 3 alpha lines, found {rows}")):
         load_schedule(path)
+
+
+def test_schedules_compare_by_their_alphas_and_print_n_and_alpha_bar_n():
+    a = constant_rate(20, 4.0)
+    assert a == constant_rate(20, 4.0) and a == NoiseSchedule(a.alphas.copy())
+    assert a != constant_rate(20, 3.0) and a != constant_rate(10, 4.0)
+    assert a != a.alphas and a != "constant_rate(20, 4.0)"  # not a schedule
+    assert repr(a) == "NoiseSchedule(n=20, alpha_bar_n=0.0183156)"
+    assert repr(from_linear_variance(100, 1e-4, 0.02)) == \
+        "NoiseSchedule(n=100, alpha_bar_n=0.363563)"
+
+
+@pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, [0.5, 1.5], -np.inf])
+def test_integrated_beta_refuses_times_outside_the_unit_interval(t):
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+        constant_rate(4, 2.0).integrated_beta(t)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_constant_rate_needs_a_step(n):
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        constant_rate(n, 4.0)
+
+
+@pytest.mark.parametrize("text", ["0.9\n0.8\n", "N=2\n0.9\n0.8\n", "\n"])
+def test_load_schedule_needs_its_n_header(tmp_path, text):
+    path = tmp_path / "sched.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^schedule file must start with 'n=<count>'$"):
+        load_schedule(path)

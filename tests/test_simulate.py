@@ -1,12 +1,15 @@
 import gc
+import importlib
+import inspect
 import math
 import os
 import re
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddpmlab import simulate
@@ -20,6 +23,16 @@ from ddpmlab.target import (GrowthConstants, MixtureTarget, gaussian_target,
 
 MIX = symmetric_mixture()
 SCHED = constant_rate(20, 4.0)
+
+
+def _chunks_of(size):
+    """Run the samplers in chunks of `size` paths, through the two constants
+    `_chunk_size` reads (a floor of `size`, no budget); the last chunk is
+    ragged, unless it would hold one path, which grows every chunk by one
+    until none does.  None keeps the default size."""
+    if size is None:
+        return nullcontext()
+    return mock.patch.multiple(simulate, _MIN_CHUNK=size, _CHUNK_BUDGET=0)
 
 
 def test_forward_chain_stationary_covariance():
@@ -110,9 +123,10 @@ def test_ddpm_equals_model_mode_reverse_bit_for_bit(target):
     model = ScoreModel(target, sched, mode="exact")
     for record in ("full", "terminal"):
         for chunk, paths in ((None, 2000), (7, 200)):
-            dd = ddpm_sample(model, sched, paths, seed=3, record=record, chunk=chunk)
-            rev = reverse_sde(model, sched, 1, paths, seed=3, score_mode="model",
-                              record=record, chunk=chunk)
+            with _chunks_of(chunk):
+                dd = ddpm_sample(model, sched, paths, seed=3, record=record)
+                rev = reverse_sde(model, sched, 1, paths, seed=3, score_mode="model",
+                                  record=record)
             assert not dd.diverged.any()
             np.testing.assert_array_equal(rev.diverged, dd.diverged)
             np.testing.assert_array_equal(rev.states, dd.states)
@@ -285,11 +299,12 @@ def test_reverse_sde_replay_from_retained_noises():
 
 def test_bit_determinism_and_chunk_invariance():
     a = reverse_sde(MIX, SCHED, 2, 300, seed=11)
-    b = reverse_sde(MIX, SCHED, 2, 300, seed=11, chunk=7)
+    with _chunks_of(7):
+        b = reverse_sde(MIX, SCHED, 2, 300, seed=11)
     np.testing.assert_array_equal(a.states, b.states)
     c = ddpm_sample(ScoreModel(MIX, SCHED, mode="exact"), SCHED, 300, seed=11)
-    d = ddpm_sample(ScoreModel(MIX, SCHED, mode="exact"), SCHED, 300, seed=11,
-                    chunk=13)
+    with _chunks_of(13):
+        d = ddpm_sample(ScoreModel(MIX, SCHED, mode="exact"), SCHED, 300, seed=11)
     np.testing.assert_array_equal(c.states, d.states)
     # a fresh path index always reproduces its stream
     g1 = path_generator(11, 5).standard_normal(8)
@@ -389,23 +404,21 @@ def test_shared_blocks_are_read_only():
 PERT = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
 
 CHUNKED = {
-    "forward_full": lambda c: forward_chain(MIX, SCHED, 300, 11, chunk=c),
-    "forward_terminal": lambda c: forward_chain(MIX, SCHED, 300, 11,
-                                                record="terminal", chunk=c),
-    "reverse_exact_terminal": lambda c: reverse_sde(MIX, SCHED, 2, 300, 11,
-                                                    record="terminal", chunk=c),
-    "reverse_model_1": lambda c: reverse_sde(PERT, SCHED, 1, 300, 11,
-                                             score_mode="model", chunk=c),
-    "reverse_model_3": lambda c: reverse_sde(PERT, SCHED, 3, 300, 11,
-                                             score_mode="model", chunk=c),
-    "ddpm_terminal": lambda c: ddpm_sample(PERT, SCHED, 300, 11,
-                                           record="terminal", chunk=c),
+    "forward_full": lambda: forward_chain(MIX, SCHED, 300, 11),
+    "forward_terminal": lambda: forward_chain(MIX, SCHED, 300, 11, record="terminal"),
+    "reverse_exact_terminal": lambda: reverse_sde(MIX, SCHED, 2, 300, 11,
+                                                  record="terminal"),
+    "reverse_model_1": lambda: reverse_sde(PERT, SCHED, 1, 300, 11, score_mode="model"),
+    "reverse_model_3": lambda: reverse_sde(PERT, SCHED, 3, 300, 11, score_mode="model"),
+    "ddpm_terminal": lambda: ddpm_sample(PERT, SCHED, 300, 11, record="terminal"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHUNKED))
 def test_chunk_invariance_every_sampler(case):
-    a, b = CHUNKED[case](None), CHUNKED[case](7)
+    a = CHUNKED[case]()
+    with _chunks_of(7):
+        b = CHUNKED[case]()
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.diverged, b.diverged)
     if a.noises is None:
@@ -415,10 +428,9 @@ def test_chunk_invariance_every_sampler(case):
 
 
 def test_chunk_invariance_girsanov_bound():
-    from ddpmlab.bounds import girsanov_bound
-
     a = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11)
-    b = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11, chunk=7)
+    with _chunks_of(7):
+        b = girsanov_bound(MIX, SCHED, PERT, 300, 2, seed=11)
     assert (a.rhs, a.lhs, a.lhs_se, a.terms, a.notes) == \
         (b.rhs, b.lhs, b.lhs_se, b.terms, b.notes)
 
@@ -431,19 +443,21 @@ def _anisotropic_mixture(seed, d, k, jitter):
 
 
 def _sample(name, target, chunk):
-    """201 paths at seed 11 on SCHED, record full: chunks of 2, 4, 5, 8, ...
-    paths would leave the last path alone."""
-    if name == "forward":
-        return forward_chain(target, SCHED, 201, 11, chunk=chunk)
-    if name == "reverse_exact":
-        return reverse_sde(target, SCHED, 2, 201, 11, chunk=chunk)
+    """201 paths at seed 11 on SCHED, record full, in chunks of `chunk` paths
+    (`_chunks_of`): chunks of 2, 4, 5, 8, ... paths would leave the last path
+    alone."""
     model = ScoreModel(target, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
-    if name == "reverse_model":
-        return reverse_sde(model, SCHED, 3, 201, 11, score_mode="model", chunk=chunk)
     if name == "ddpm_clipped":
         # an envelope tight enough that the oracle replaces some paths' scores
         model = growth_clip(model, GrowthConstants(c0=0.5, c1=0.2, lambda_min=1.0))
-    return ddpm_sample(model, SCHED, 201, 11, chunk=chunk)
+    with _chunks_of(chunk):
+        if name == "forward":
+            return forward_chain(target, SCHED, 201, 11)
+        if name == "reverse_exact":
+            return reverse_sde(target, SCHED, 2, 201, 11)
+        if name == "reverse_model":
+            return reverse_sde(model, SCHED, 3, 201, 11, score_mode="model")
+        return ddpm_sample(model, SCHED, 201, 11)
 
 
 @settings(deadline=None, max_examples=40)
@@ -451,7 +465,7 @@ def _sample(name, target, chunk):
        st.integers(0, 2**32 - 1),
        st.sampled_from(["forward", "ddpm", "ddpm_clipped", "reverse_exact",
                         "reverse_model"]),
-       st.integers(1, 64))
+       st.integers(2, 64))
 def test_chunk_invariance_and_noise_sanity_multivariate(d, k, jitter, seed,
                                                         sampler, chunk):
     # up to d = 3 and six components with an anisotropic shared precision
@@ -466,11 +480,11 @@ def test_chunk_invariance_and_noise_sanity_multivariate(d, k, jitter, seed,
 
 
 @pytest.mark.parametrize("sampler", ["ddpm", "ddpm_clipped"])
-@pytest.mark.parametrize("chunk", [1, 2, 4, 7, 100])
+@pytest.mark.parametrize("chunk", [2, 4, 7, 100])
 def test_no_path_is_scored_alone(sampler, chunk):
-    # 201 paths: chunk 1 is raised to 2, and chunks of 2, 4 or 100 would
-    # leave path 200 alone, where a one-row product rounds differently; the
-    # clipping oracle must not score a chunk's one clipped path alone either
+    # 201 paths: chunks of 2, 4 or 100 would leave path 200 alone, where a
+    # one-row product rounds differently; the clipping oracle must not score
+    # a chunk's one clipped path alone either
     target = _anisotropic_mixture(3, 3, 6, 0.5)
     np.testing.assert_array_equal(_sample(sampler, target, None).states,
                                   _sample(sampler, target, chunk).states)
@@ -497,33 +511,96 @@ def test_samplers_reject_unknown_record_and_empty_batches(sampler):
         run(0, "full")
 
 
-CHUNK_CALLS = {
-    "forward": lambda c: forward_chain(MIX, SCHED, 10, 1, chunk=c),
-    "ddpm": lambda c: ddpm_sample(PERT, SCHED, 10, 1, chunk=c),
-    "reverse_exact": lambda c: reverse_sde(MIX, SCHED, 2, 10, 1, chunk=c),
-    "reverse_model": lambda c: reverse_sde(PERT, SCHED, 2, 10, 1,
-                                           score_mode="model", chunk=c),
-    "girsanov_bound": lambda c: girsanov_bound(MIX, SCHED, PERT, 10, 2, 1, chunk=c),
-}
+def _raises_exactly(error, message):
+    return pytest.raises(error, match=rf"^{re.escape(message)}$")
 
 
-@pytest.mark.parametrize("chunk", [0, -5, 2.7, True, False, "3", np.float64(3.0)],
-                         ids=["0", "-5", "2.7", "True", "False", "str", "float64"])
-@pytest.mark.parametrize("call", sorted(CHUNK_CALLS))
-def test_chunk_must_be_an_int_of_at_least_one(monkeypatch, call, chunk):
-    # a bool, a fraction or a size below 1 used to become a chunk of 2
-    monkeypatch.setattr(simulate, "path_generator",
-                        lambda *args: pytest.fail("drew noise"))
-    with pytest.raises(ValueError, match=rf"^chunk must be an int >= 1, got "
-                       rf"{re.escape(repr(chunk))}$"):
-        CHUNK_CALLS[call](chunk)
+@pytest.mark.parametrize("source, substeps, mode, error, message", [
+    (MIX, 0, "exact", ValueError, "substeps must be >= 1"),
+    (MIX, 2, "frozen", ValueError, "score_mode must be 'exact' or 'model'"),
+    (PERT, 2, "exact", TypeError, "exact mode integrates against an analytic target"),
+    (MIX, 2, "model", TypeError, "model mode needs a ScoreModel"),
+], ids=["no_substeps", "unknown_mode", "exact_on_a_model", "model_on_a_target"])
+def test_reverse_sde_rejects_its_bad_inputs(monkeypatch, source, substeps, mode, error,
+                                            message):
+    # before any noise is drawn
+    monkeypatch.setattr(simulate, "path_generator", lambda *args: pytest.fail("drew"))
+    with _raises_exactly(error, message):
+        reverse_sde(source, SCHED, substeps, 10, 1, score_mode=mode)
 
 
-def test_chunk_of_one_rounds_up_to_two_and_numpy_ints_are_accepted():
-    assert [_chunk_size(12, 5, 1, c) for c in (1, np.int64(1), np.int32(3))] == [2, 2, 3]
-    want = CHUNK_CALLS["ddpm"](None).states
-    for chunk in (1, np.int64(3)):
-        np.testing.assert_array_equal(CHUNK_CALLS["ddpm"](chunk).states, want)
+def test_score_model_rejects_an_unknown_mode_and_a_step_off_the_schedule():
+    with _raises_exactly(ValueError, "unknown score model mode 'frozen'"):
+        ScoreModel(MIX, SCHED, mode="frozen")
+    x = np.zeros((3, 1))
+    for mode in ("exact", "zero"):
+        for i in (0, SCHED.n + 1):
+            with _raises_exactly(ValueError, "step index out of range"):
+                ScoreModel(MIX, SCHED, mode=mode).s_step(i, x)
+        assert ScoreModel(MIX, SCHED, mode=mode).s_step(SCHED.n, x).shape == x.shape
+
+
+def test_growth_clip_rejects_an_unknown_variant_and_an_oracle_without_a_target():
+    envelope = growth_constants(MIX)
+    with _raises_exactly(ValueError, "variant must be 'oracle' or 'projection'"):
+        growth_clip(PERT, envelope, variant="rescale")
+    targetless = ScoreModel(None, SCHED, mode="zero")
+    with _raises_exactly(ValueError,
+                         "oracle-variant clipping needs an attached analytic target"):
+        growth_clip(targetless, envelope)
+    # the projection needs no target
+    x = np.ones((4, 1))
+    assert np.array_equal(growth_clip(targetless, envelope, "projection").s_step(1, x),
+                          np.zeros_like(x))
+
+
+def test_noise_sanity_needs_the_retained_noises():
+    batch = forward_chain(MIX, SCHED, 10, 1, record="terminal")
+    with _raises_exactly(ValueError, "batch was simulated without noise retention"):
+        batch.noise_sanity()
+
+
+def _chunk_size_reference(paths, steps, d):
+    """The default chunk size, restated with its literals: as many paths as
+    fit 8e6 floats of noise but at least 256, grown until no chunk holds one
+    path of several."""
+    size = max(256, min(paths, 8_000_000 // max(1, steps * d)))
+    while paths % size == 1 and size < paths:
+        size += 1
+    return size
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 10**6), st.integers(1, 10**5), st.integers(1, 8))
+@example(257, 1, 1)  # the would-leave-one-path rule at the 256-path floor
+@example(31251, 256, 1)  # a budget of 31250 paths, one left over
+@example(1, 10**5, 8)
+def test_chunk_size_is_the_default_formula(paths, steps, d):
+    size = _chunk_size(paths, steps, d)
+    assert size == _chunk_size_reference(paths, steps, d)
+    assert paths % size != 1 or size >= paths
+
+
+def test_chunks_of_sets_the_chunk_size():
+    for size, paths, want in ((7, 300, 7), (2, 201, 3), (128, 300, 128), (11, 500, 11),
+                              (4, 201, 6), (100, 201, 101), (13, 10, 13)):
+        with _chunks_of(size):
+            assert _chunk_size(paths, 41, 3) == want
+    assert _chunk_size(300, 41, 3) == 300
+
+
+def test_no_function_takes_a_chunk_setting():
+    modules = [importlib.import_module(f"ddpmlab.{name}") for name in (
+        "bounds", "cli", "experiments", "fbsde", "metrics", "schedule", "simulate",
+        "target")]
+    # every module-level function and every method of a module-level class
+    functions = [(f"{module.__name__}.{name}", member) for module in modules
+                 for name, member in vars(module).items() if inspect.isfunction(member)]
+    functions += [(f"{module.__name__}.{name}.{method}", member) for module in modules
+                  for name, cls in vars(module).items() if inspect.isclass(cls)
+                  for method, member in inspect.getmembers(cls, inspect.isfunction)]
+    assert len(functions) > 100
+    assert [name for name, f in functions if "chunk" in inspect.signature(f).parameters] == []
 
 
 # rows each sampler draws per path on SCHED's 20 steps; only forward_chain's
@@ -536,15 +613,15 @@ LOOKUP_SEED = 70117
 def _lookup_batch(name, target, record, chunk):
     """40 paths at LOOKUP_SEED on SCHED; chunk 7 splits them in 6 chunks."""
     model = ScoreModel(target, SCHED, mode="perturbed", bias=0.3, noise_amplitude=0.5)
-    if name == "forward":
-        return forward_chain(target, SCHED, 40, LOOKUP_SEED, record=record, chunk=chunk)
-    if name == "ddpm":
-        return ddpm_sample(model, SCHED, 40, LOOKUP_SEED, record=record, chunk=chunk)
-    if name == "reverse_exact":
-        return reverse_sde(target, SCHED, 2, 40, LOOKUP_SEED, record=record,
-                           chunk=chunk)
-    return reverse_sde(model, SCHED, int(name[-1]), 40, LOOKUP_SEED,
-                       score_mode="model", record=record, chunk=chunk)
+    with _chunks_of(chunk):
+        if name == "forward":
+            return forward_chain(target, SCHED, 40, LOOKUP_SEED, record=record)
+        if name == "ddpm":
+            return ddpm_sample(model, SCHED, 40, LOOKUP_SEED, record=record)
+        if name == "reverse_exact":
+            return reverse_sde(target, SCHED, 2, 40, LOOKUP_SEED, record=record)
+        return reverse_sde(model, SCHED, int(name[-1]), 40, LOOKUP_SEED,
+                           score_mode="model", record=record)
 
 
 def _held_blocks():
@@ -578,7 +655,8 @@ def test_draw_block_lends_live_blocks_byte_identically(d, calls):
             rows, drawn = LOOKUP_ROWS[name], fresh.call_count
             batch = _lookup_batch(name, target, record, chunk)
             assert _batch_bytes(batch) == want[name, record, chunk]
-            chunks = -(-40 // _chunk_size(40, rows, d, chunk))
+            with _chunks_of(chunk):
+                chunks = -(-40 // _chunk_size(40, rows, d))
             lookup = name != "forward" and chunks == 1
             lent = lookup and entry is not None and entry[0] >= rows
             assert fresh.call_count - drawn == (0 if lent else chunks)
@@ -658,6 +736,11 @@ def test_score_model_schedule_mismatch_rejected():
     # same step count, different alphas
     with pytest.raises(ValueError, match="20-step schedule that differs"):
         ddpm_sample(model, constant_rate(20, 3.0), 10, seed=1)
+    # another schedule object with the same alphas is the same schedule
+    same = constant_rate(20, 4.0)
+    assert same is not SCHED and same == SCHED
+    np.testing.assert_array_equal(ddpm_sample(model, same, 10, seed=1).states,
+                                  ddpm_sample(model, SCHED, 10, seed=1).states)
 
 
 def test_strong_convergence_order_one():
@@ -742,9 +825,10 @@ def test_some_diverging_paths_freeze_at_their_last_in_limit_state(chunk):
         def advance(x, z, rows=slice(None)):
             return np.where(is_edge[rows, None], edge[rows], growth[rows] * x + z)
 
-        batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), d,
-                           lambda k, x, z, rows: advance(x, z, rows),
-                           "full", chunk, "test", limit=limit)
+        with _chunks_of(chunk):
+            batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), d,
+                               lambda k, x, z, rows: advance(x, z, rows),
+                               "full", "test", limit=limit)
         x = batch.states[:, 0].copy()
         alive = np.ones(paths, dtype=bool)
         frozen_at = np.full(paths, steps)
@@ -783,8 +867,9 @@ def test_a_frozen_path_stays_frozen_while_its_chunk_is_back_in_the_box(chunk):
                 x_new[row - rows.start, 0] = value
             return x_new
 
-        batch = _integrate(5, paths, np.linspace(0.0, 1.0, steps + 1), d, step,
-                           "full", chunk, "test", limit=limit)
+        with _chunks_of(chunk):
+            batch = _integrate(5, paths, np.linspace(0.0, 1.0, steps + 1), d, step,
+                               "full", "test", limit=limit)
         assert batch.states[2, 4, 0] > box
         x = batch.states[:, 0].copy()
         alive = np.ones(paths, dtype=bool)

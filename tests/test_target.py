@@ -33,6 +33,32 @@ def test_constructor_validation():
         MixtureTarget([1.0, -0.2], [[-1.0], [1.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("weights, means, covariance, message", [
+    ([0.5, 0.5], [[0.0]], [[1.0]], "one weight per component required"),
+    ([[1.0]], [[0.0]], [[1.0]], "one weight per component required"),
+    ([1.0, 0.0], [[0.0], [1.0]], [[1.0]], "weights must be positive"),
+    ([1.0], [[0.0, 0.0]], [[1.0]], "covariance shape must match the dimension"),
+    ([1.0], [[0.0, 0.0]], [[1.0, 0.5], [0.4, 1.0]], "covariance must be symmetric"),
+], ids=["too_many_weights", "weights_not_a_vector", "zero_weight", "covariance_shape",
+        "asymmetric"])
+def test_density_constructor_names_what_is_wrong(weights, means, covariance, message):
+    # MixtureTarget checks its precision first, then symmetrises it, so only a
+    # density built directly reaches the last two checks
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        GaussianMixtureDensity(weights, means, covariance)
+
+
+def test_density_mean_is_the_weighted_component_mean():
+    law = GaussianMixtureDensity([1.0, 3.0], [[-2.0, 1.0], [2.0, 5.0]], np.eye(2))
+    assert law.mean().tolist() == [1.0, 4.0]
+    fixture = load_target(Path(__file__).parent.parent / "bench" / "pathwise_3d_target.txt")
+    assert np.array_equal(fixture.mean(), fixture.weights @ fixture.means)
+    assert fixture.mean().shape == (3,)
+    # a forward-chain marginal's mean decays as m_t times the target's
+    law = fixture.marginal_at(SCHED, 0.5)
+    assert np.allclose(law.mean(), law.m * fixture.mean(), rtol=1e-14, atol=1e-15)
+
+
 def test_standard_gaussian_score_and_hessian():
     g = gaussian_target([0.0, 0.0])
     x = np.array([[0.3, -1.2], [2.0, 0.5]])
