@@ -13,7 +13,7 @@ target = dl.symmetric_mixture()
 schedule = dl.from_linear_variance(100, 1e-4, 0.02)
 
 batch = dl.reverse_sde(target, schedule, 4, 40_000, seed=3, record="terminal")
-rep = dl.schrodinger_bound(target, schedule, batch)
+rep = dl.schrodinger_bound(batch)
 print(f"bridge TV bound: lhs {rep.lhs:.4f} <= rhs {rep.rhs:.4f} "
       f"[{rep.verdict}], KL(phi||p_1) = {rep.terms['kl_phi_p1']:.4f}")
 

@@ -17,7 +17,7 @@ schedule = dl.constant_rate(8, 2.0)
 print("substeps   rms(sign -1)   rms(sign +1)")
 for substeps in (64, 128, 256, 512):
     batch = dl.reverse_sde(target, schedule, substeps, 256, seed=42)
-    both = dl.bsde_residual_both(target, schedule, batch, t_index=0)
+    both = dl.bsde_residual_both(batch, t_index=0)
     print(f"{substeps:8d}   {both[-1].rms:12.3e}   {both[1].rms:12.3e}")
 
 points = dl.default_axis(target, 1001)[:, None]

@@ -17,8 +17,8 @@ from .metrics import (_write_csv, fd_bin_edges, grid_from_density, kl,
                       tv_hist_two_samples, tv_hist_vs_density)
 from .schedule import NoiseSchedule
 from .simulate import (ScoreModel, TrajectoryBatch, _check_schedule,
-                       _exact_step, _frozen_score, _integrate, _kept_paths,
-                       _reverse_grid, reverse_sde)
+                       _exact_reverse, _exact_step, _frozen_score, _integrate,
+                       _kept_paths, _reverse_grid, reverse_sde)
 from .target import GrowthConstants, MixtureTarget, _require_d, default_axis
 
 __all__ = [
@@ -64,8 +64,7 @@ def _schrodinger_rhs(target: MixtureTarget, schedule: NoiseSchedule):
                                  "m": m, "second_moment": ex2}, notes
 
 
-def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
-                      reverse_batch: TrajectoryBatch) -> BoundReport:
+def schrodinger_bound(batch: TrajectoryBatch) -> BoundReport:
     """Bridge-based TV bound on the exact reverse process:
 
         TV(mu_data, law(X*_1)) <= sqrt( -KL(phi || p_1)/2
@@ -75,10 +74,11 @@ def schrodinger_bound(target: MixtureTarget, schedule: NoiseSchedule,
     histogram TV between the data density and the batch's terminal states
     (empirical estimator for d = 1).
     """
+    target, schedule = _exact_reverse("schrodinger_bound", batch)
     _require_d("schrodinger_bound", target.d, 1)
     rhs, terms, notes = _schrodinger_rhs(target, schedule)
-    keep = _kept_paths("schrodinger_bound", reverse_batch.diverged)
-    terminal = reverse_batch.terminal_states[keep]
+    keep = _kept_paths("schrodinger_bound", batch.diverged)
+    terminal = batch.terminal_states[keep]
     edges = fd_bin_edges(target, terminal.shape[0])
     lhs, se, budget = tv_hist_vs_density(terminal, target, edges)
     verdict = "holds" if lhs <= rhs + 3.0 * se + budget else "violated"
@@ -113,7 +113,7 @@ def girsanov_bound(target: MixtureTarget, schedule: NoiseSchedule,
 
     exact = _integrate(seed, paths, grid, target.d,
                        _exact_step(target, schedule, grid, betas, observe),
-                       "terminal", "reverse")
+                       "terminal", "reverse", target, schedule)
     hat = reverse_sde(score_model, schedule, 1, paths, seed,
                       score_mode="model", record="terminal")
     keep = _kept_paths(
@@ -186,22 +186,21 @@ def banded_schedule_terms(n: int, gamma1: float, gamma2: float, d: int,
     return {"T1": t1, "T2": t2, "T3": t3, "loglog_n": ll, "logloglog_n": lll}
 
 
-def moment_report(schedule: NoiseSchedule, reverse_batch: TrajectoryBatch,
-                  envelope: GrowthConstants) -> dict:
+def moment_report(batch: TrajectoryBatch, envelope: GrowthConstants) -> dict:
     """Empirical second/fourth moments of X* along the grid, with the
     bound's shape factor (report-only; constant generic)."""
-    keep = _kept_paths("moment_report", reverse_batch.diverged)
-    states = reverse_batch.states[keep]
+    keep = _kept_paths("moment_report", batch.diverged)
+    states = batch.states[keep]
     sq = np.sum(states**2, axis=-1)
     second = sq.mean(axis=0)
     fourth = (sq**2).mean(axis=0)
     n_paths = states.shape[0]
-    abar = schedule.alpha_bar_n
-    d = reverse_batch.d
+    abar = batch.schedule.alpha_bar_n
+    d = batch.d
     log_shape2 = math.log(d) - 0.5 * math.log(abar) \
         + 2.0 * (envelope.c0 + envelope.c1) / abar
     return {
-        "times": reverse_batch.times,
+        "times": batch.times,
         "second_moment": second,
         "second_moment_se": sq.std(axis=0) / math.sqrt(n_paths),
         "fourth_moment": fourth,

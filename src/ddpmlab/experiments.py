@@ -249,9 +249,8 @@ def _run_identity(cfg, out_dir, summary):
     bias = _number(cfg, "bias", float, 1.0)
     rel_tol = _number(cfg, "rel_tol", float, 0.02)
     model = ScoreModel(target, schedule, mode="perturbed", bias=bias)
-    report = metrics_mod.denoise_identity_check(target, schedule, model,
-                                                samples, seed)
-    loss = metrics_mod.score_loss(target, schedule, model, samples // 10, seed)
+    report = metrics_mod.denoise_identity_check(model, samples, seed)
+    loss = metrics_mod.score_loss(model, samples // 10, seed)
     rows = [("identity_gap", i + 1, report.per_step_gap[i],
              report.per_step_se[i], report.samples)
             for i in range(schedule.n)]
@@ -280,7 +279,7 @@ def _run_fbsde(cfg, out_dir, summary):
     if not fbsde_mod._gaussian_oracle(target) and paths < least:
         raise ConfigError(f"regression mode needs at least {least} paths")
     batch = reverse_sde(target, schedule, substeps, paths, seed)
-    both = fbsde_mod.bsde_residual_both(target, schedule, batch, t_index)
+    both = fbsde_mod.bsde_residual_both(batch, t_index)
     rows = [(t_index, batch.times[t_index], s.drift_sign, s.rms, s.max,
              s.paths, s.substeps) for s in both.values()]
     metrics_mod._write_csv(os.path.join(out_dir, "bsde_residuals.csv"),
@@ -292,7 +291,7 @@ def _run_fbsde(cfg, out_dir, summary):
     summary.check("bsde_sign_separation", opposite.rms >= 10.0 * adjudicated.rms,
                   f"ratio={opposite.rms / max(adjudicated.rms, 1e-300):.3g}")
     y_index = (batch.times.size - 1) // 2
-    yast = fbsde_mod.yast_check(target, schedule, batch, y_index)
+    yast = fbsde_mod.yast_check(batch, y_index)
     yrows = [("yast_rms", y_index, yast.rms, 0.0, yast.paths),
              ("yast_rel_rms", y_index, yast.rms_relative, 0.0, yast.paths),
              ("yast_tower_gap", y_index, yast.tower_gap, yast.tower_se, yast.paths)]
@@ -350,8 +349,8 @@ def _run_sign_adjudication(cfg, out_dir, summary):
     for s_count in reversed(subs):
         batch = reverse_sde(target, schedule, s_count, paths, seed)
         start = t_index * s_count // subs[0]
-        residuals.append((batch.times[start], fbsde_mod.bsde_residual_both(
-            target, schedule, batch, start)))
+        residuals.append((batch.times[start],
+                          fbsde_mod.bsde_residual_both(batch, start)))
     rows = []
     curves = {-1: [], 1: []}
     for t, both in reversed(residuals):
@@ -406,7 +405,7 @@ def _run_tv_pipeline(cfg, out_dir, summary):
             batch.terminal_states[keep], target, edges)
         tvs.append((value, se))
         tv_rows.append((f"ddpm_tv_bias{b:g}", 0, value, se, int(keep.sum())))
-        loss = metrics_mod.score_loss(target, schedule, model, samples, seed)
+        loss = metrics_mod.score_loss(model, samples, seed)
         losses.append(loss)
         tv_rows.append((f"score_loss_bias{b:g}", 0, loss.loss, loss.std_err,
                         loss.samples))
@@ -416,7 +415,7 @@ def _run_tv_pipeline(cfg, out_dir, summary):
         reports.append(gb)
         summary.check(f"girsanov_holds_bias{b:g}", gb.verdict == "holds",
                       f"lhs={gb.lhs:.6g} rhs={gb.rhs:.6g}")
-    sb = bounds_mod.schrodinger_bound(target, schedule, exact_batch)
+    sb = bounds_mod.schrodinger_bound(exact_batch)
     reports.append(sb)
     summary.check("schrodinger_holds", sb.verdict == "holds",
                   f"lhs={sb.lhs:.6g} rhs={sb.rhs:.6g} budget={sb.bias_budget:.3g}")

@@ -31,7 +31,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import TrajectoryBatch, _integrate, _kept_paths, _reverse_grid
+from .simulate import (TrajectoryBatch, _exact_reverse, _integrate, _kept_paths,
+                       _reverse_grid)
 from .target import (MixtureTarget, _centered_laws, _grid_points, _require_d,
                      default_axis)
 
@@ -64,17 +65,15 @@ def f_weight(schedule: NoiseSchedule, t) -> np.ndarray:
     return np.exp(0.5 * a) / np.expm1(a)
 
 
-def _along(target, schedule, batch, start):
+def _along(batch, start):
     """(k, betas, family, X) for each block of T substeps from `start` to the
     end of the batch grid: the block's first index k, its betas (T,), each
     constant over its substep, the family of the laws of X at its reverse
     times, and X (T, paths, d), a slab of the time-major record.  T is the most
     steps whose (T, paths, d, d) Hessians fit _BLOCK_FLOATS, and at least one."""
-    times = batch.times
-    if (times.size - 1) % schedule.n != 0:
-        raise ValueError("batch grid does not refine the schedule intervals")
+    times, schedule = batch.times, batch.schedule
     betas = _reverse_grid(schedule, (times.size - 1) // schedule.n)[2]
-    family = target._family(schedule, 1.0 - times[start:-1])
+    family = batch.source._family(schedule, 1.0 - times[start:-1])
     states = batch.states.transpose(1, 0, 2)
     size = max(1, _BLOCK_FLOATS // (batch.paths * batch.d * batch.d))
     for k in range(start, times.size - 1, size):
@@ -94,13 +93,6 @@ def _fold(acc, terms):
     return np.add.reduce(terms, axis=0)
 
 
-def _check_batch(batch: TrajectoryBatch):
-    if batch.direction != "reverse":
-        raise ValueError("expected a reverse batch")
-    if batch.noises is None:
-        raise ValueError("batch lacks retained noises; simulate with record='full'")
-
-
 @dataclass
 class ResidualStats:
     rms: float
@@ -111,11 +103,10 @@ class ResidualStats:
     drift_sign: int
 
 
-def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
-                       batch: TrajectoryBatch, t_index: int) -> dict:
+def bsde_residual_both(batch: TrajectoryBatch, t_index: int) -> dict:
     """Residual statistics for both drift signs from one pass over the batch:
     terminal score, Y_t, and the drift and Ito sums from t_index to the end."""
-    _check_batch(batch)
+    target, schedule = _exact_reverse("bsde_residual_both", batch, full=True)
     times = batch.times
     if not 0 <= t_index <= times.size - 1:
         raise ValueError("t_index outside the simulation grid")
@@ -126,7 +117,7 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     terminal = target.score(batch.states[:, -1])
     y_t = terminal  # Y_1, as the law at time 0 is the target itself
     noises = batch.noises.transpose(1, 0, 2)
-    for k, betas, family, x in _along(target, schedule, batch, t_index):
+    for k, betas, family, x in _along(batch, t_index):
         y, hess = family._derivatives(x, 2)
         if k == t_index:
             y_t = y[0]
@@ -145,14 +136,13 @@ def bsde_residual_both(target: MixtureTarget, schedule: NoiseSchedule,
     return out
 
 
-def z_energy(target: MixtureTarget, schedule: NoiseSchedule,
-             batch: TrajectoryBatch) -> float:
+def z_energy(batch: TrajectoryBatch) -> float:
     """Monte Carlo E* int_0^1 |Z_t|_F^2 dt; equals d * int_0^1 beta for Gaussians."""
-    _check_batch(batch)
+    _exact_reverse("z_energy", batch, full=True)
     keep = _kept_paths("z_energy", batch.diverged)
     h = batch.times[1] - batch.times[0]
     acc = np.zeros(batch.paths)
-    for _, betas, family, x in _along(target, schedule, batch, 0):
+    for _, betas, family, x in _along(batch, 0):
         energy = np.sum(family.hessian_log(x) ** 2, axis=(-2, -1))
         acc = _fold(acc, betas[:, None] * energy * h)
     return float(acc[keep].mean())
@@ -169,8 +159,7 @@ class YastReport:
     t_index: int
 
 
-def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
-               batch: TrajectoryBatch, t_index: int) -> YastReport:
+def yast_check(batch: TrajectoryBatch, t_index: int) -> YastReport:
     """Verify the martingale identity Y_t = f(t) E*[int_t^1 g(r) Y_r dr | F_t].
 
     The target picks the mode.  Gaussian-oracle mode (one component of unit
@@ -183,7 +172,7 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     relative to rms(Y_t).  Both modes also report the tower-property gap
     mean(f * I) - mean(Y_t) with its SE.
     """
-    _check_batch(batch)
+    target, schedule = _exact_reverse("yast_check", batch, full=True)
     times = batch.times
     if not 0 <= t_index < times.size - 1:
         raise ValueError("t_index must leave a nonempty interval [t, 1]")
@@ -198,7 +187,7 @@ def yast_check(target: MixtureTarget, schedule: NoiseSchedule,
     h = times[1] - times[0]
     integral = np.zeros((batch.paths, batch.d))  # left-point sum of g(r) Y_r
     quad = 0.0  # Gaussian oracle: the sum of g(r) E*[Y_r | X_t], per unit of -dev
-    for k, betas, family, x in _along(target, schedule, batch, t_index):
+    for k, betas, family, x in _along(batch, t_index):
         y = family.score(x)
         if k == t_index:
             y_t = y[0][keep]
@@ -293,8 +282,8 @@ def h_martingale_check(target: MixtureTarget, schedule: NoiseSchedule,
         return y / m + math.sqrt(max(0.0, 1.0 / m**2 - 1.0)) * z
 
     # Y grows like exp(int beta / 2) by design; no path is frozen
-    states = _integrate(seed, paths, times, d, step, "full", "auxiliary",
-                        limit=math.inf).states
+    states = _integrate(seed, paths, times, d, step, "full", "auxiliary", target,
+                        schedule, limit=math.inf).states
     values = np.column_stack([pref * law.pdf(states[:, k])
                               for k, (pref, law) in enumerate(zip(prefs, laws))])
     means = values.mean(axis=0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule
-from .simulate import ScoreModel, _check_schedule, _draw_block
+from .simulate import ScoreModel, _draw_block
 from .target import (GaussianMixtureDensity, GrowthConstants, MixtureTarget,
                      _grid_points, _require_d, default_axis)
 
@@ -168,21 +168,18 @@ class LossReport:
     samples: int
 
 
-def _forward_marginals(target: MixtureTarget, schedule: NoiseSchedule,
-                       score_model: ScoreModel, samples: int, seed: int):
-    """Check the model's schedule, draw (x0, Z) pairs from per-sample
-    substreams and yield (i, law_i, m, sig, x0, Z) for steps i = 1..n, where
-    x_i = m x0 + sig Z has law_i: m = sqrt(abar_i), sig = sqrt(1 - abar_i)."""
-    _check_schedule(score_model, schedule)
+def _forward_marginals(score_model: ScoreModel, samples: int, seed: int):
+    """Draw (x0, Z) pairs from per-sample substreams and yield (i, law_i, m,
+    sig, x0, Z) for the model's steps i = 1..n, where x_i = m x0 + sig Z has
+    law_i, the model's own: m = sqrt(abar_i), sig = sqrt(1 - abar_i)."""
+    target, abars = score_model.target, score_model.schedule.alpha_bars
     u, draws = _draw_block(seed, 0, samples, 2, target.d, with_uniform=True)
     x0, z = target._from_draws(u, draws[0]), draws[1]
-    abars = schedule.alpha_bars
-    for i, law in enumerate(target.marginal_at(schedule, schedule.times[1:]), 1):
+    for i, law in enumerate(score_model._laws, 1):
         yield i, law, math.sqrt(abars[i - 1]), math.sqrt(1.0 - abars[i - 1]), x0, z
 
 
-def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
-               score_model: ScoreModel, samples: int, seed: int) -> LossReport:
+def score_loss(score_model: ScoreModel, samples: int, seed: int) -> LossReport:
     """Score-matching loss L = (1/n) sum_i E|s_i(x_i) - grad log p_i(x_i)|^2.
 
     Monte Carlo over the closed-form forward marginals (one shared (x0, Z)
@@ -190,16 +187,14 @@ def score_loss(target: MixtureTarget, schedule: NoiseSchedule,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = schedule.n
+    n = score_model.schedule.n
     per = np.empty(n)
     per_se = np.empty(n)
     pooled = np.zeros(samples)
-    shared = score_model.target is target  # its laws are then these, bit for bit
-    for i, law, m, sig, x0, z in _forward_marginals(target, schedule, score_model,
-                                                    samples, seed):
+    for i, law, m, sig, x0, z in _forward_marginals(score_model, samples, seed):
         x_i = m * x0 + sig * z
         truth = law.score(x_i)
-        diff = score_model.s_step(i, x_i, truth if shared else None) - truth
+        diff = score_model.s_step(i, x_i, truth) - truth
         vals = np.sum(diff * diff, axis=-1)
         per[i - 1] = vals.mean()
         per_se[i - 1] = vals.std() / math.sqrt(samples)
@@ -228,8 +223,7 @@ class IdentityReport:
                             / np.maximum(self.per_step_se, 1e-300)))
 
 
-def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
-                           score_model: ScoreModel, samples: int,
+def denoise_identity_check(score_model: ScoreModel, samples: int,
                            seed: int) -> IdentityReport:
     """Check, with shared random numbers, the exact identity
 
@@ -242,26 +236,26 @@ def denoise_identity_check(target: MixtureTarget, schedule: NoiseSchedule,
     Antithetic Z pairs cancel the leading 1/sigma noise term, which keeps
     the residual purely Monte Carlo at a usable scale for small 1 - abar_i.
     """
-    n = schedule.n
-    n_pairs = max(1, samples // 2)
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    n = score_model.schedule.n
+    n_pairs = samples // 2
     per_gap = np.empty(n)
     per_se = np.empty(n)
     pooled_gap_samples = np.zeros(n_pairs)
     pooled_lhs = 0.0
-    shared = score_model.target is target  # as in score_loss
 
     def one_side(i, m, sig, law, x0, z_side):
         x_i = m * x0 + sig * z_side
         c = law.score(x_i)
-        s = score_model.s_step(i, x_i, c if shared else None)
+        s = score_model.s_step(i, x_i, c)
         g = -z_side / sig
         lhs = np.sum((s - c) ** 2, axis=-1)
         rhs = (np.sum((s - g) ** 2, axis=-1)
                + np.sum(c * c, axis=-1) - np.sum(g * g, axis=-1))
         return lhs, lhs - rhs
 
-    for i, law, m, sig, x0, z in _forward_marginals(target, schedule, score_model,
-                                                    n_pairs, seed):
+    for i, law, m, sig, x0, z in _forward_marginals(score_model, n_pairs, seed):
         lhs_p, gap_p = one_side(i, m, sig, law, x0, z)
         lhs_m, gap_m = one_side(i, m, sig, law, x0, -z)
         lhs_vals = 0.5 * (lhs_p + lhs_m)

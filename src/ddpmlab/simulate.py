@@ -171,7 +171,8 @@ class TrajectoryBatch:
     step draws (paths, len(times)-1, d), read-only and maybe viewing a shared
     block.  Both are transposed views of time-major buffers, so states[:, k]
     is contiguous; np.ascontiguousarray gives a path-major copy.  diverged
-    flags the paths frozen for leaving the norm limit.
+    flags the paths frozen for leaving the norm limit.  source (the target, or
+    the ScoreModel whose scores drove the paths) and schedule simulated it.
     """
 
     times: np.ndarray
@@ -179,6 +180,8 @@ class TrajectoryBatch:
     noises: np.ndarray | None
     direction: str
     diverged: np.ndarray
+    source: MixtureTarget | ScoreModel
+    schedule: NoiseSchedule
 
     @property
     def paths(self) -> int:
@@ -310,7 +313,7 @@ def growth_clip(score_model: ScoreModel, envelope: GrowthConstants,
                       _clip=(score_model, envelope, variant))
 
 
-def _integrate(seed, paths, times, d, step, record, direction,
+def _integrate(seed, paths, times, d, step, record, direction, source, schedule,
                start_state=None, limit=DIVERGENCE_LIMIT) -> TrajectoryBatch:
     """The stepping loop behind every sampler.
 
@@ -364,7 +367,8 @@ def _integrate(seed, paths, times, d, step, record, direction,
         noises.flags.writeable = False
     return TrajectoryBatch(times=times if full else np.array([0.0, 1.0]),
                            states=states.transpose(1, 0, 2), noises=noises,
-                           direction=direction, diverged=diverged)
+                           direction=direction, diverged=diverged, source=source,
+                           schedule=schedule)
 
 
 def _check_schedule(score_model: ScoreModel, schedule: NoiseSchedule) -> None:
@@ -372,6 +376,16 @@ def _check_schedule(score_model: ScoreModel, schedule: NoiseSchedule) -> None:
         raise ValueError(
             f"the score model was built on a {score_model.schedule.n}-step "
             f"schedule that differs from the {schedule.n}-step schedule passed")
+
+
+def _exact_reverse(name: str, batch: TrajectoryBatch, full: bool = False):
+    """(target, schedule) of an exact-score reverse batch, which with `full`
+    kept its noises; a ValueError naming `name` for any other batch."""
+    if batch.direction != "reverse" or isinstance(batch.source, ScoreModel):
+        raise ValueError(f"{name}: expected an exact-score reverse batch")
+    if full and batch.noises is None:
+        raise ValueError("batch lacks retained noises; simulate with record='full'")
+    return batch.source, batch.schedule
 
 
 def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
@@ -384,7 +398,7 @@ def forward_chain(target: MixtureTarget, schedule: NoiseSchedule, paths: int,
         return sqrt_a[k] * x + sqrt_v[k] * z
 
     return _integrate(seed, paths, schedule.times, target.d, step, record,
-                      "forward", start_state=target._from_draws)
+                      "forward", target, schedule, start_state=target._from_draws)
 
 
 def _reverse_grid(schedule: NoiseSchedule, substeps: int):
@@ -467,7 +481,7 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
     if score_mode == "exact":
         return _integrate(seed, paths, grid, source.d,
                           _exact_step(source, schedule, grid, betas), record,
-                          "reverse")
+                          "reverse", source, schedule)
     _check_schedule(source, schedule)
     frozen_at = _frozen_score(source, interval, substeps)
     h = 1.0 / betas.size
@@ -477,7 +491,7 @@ def reverse_sde(source, schedule: NoiseSchedule, substeps: int, paths: int,
 
     return _integrate(seed, paths, grid, source.target.d,
                       _ddpm_step(source, schedule, True) if substeps == 1
-                      else euler_step, record, "reverse")
+                      else euler_step, record, "reverse", source, schedule)
 
 
 def _ddpm_step(score_model, schedule, final_noise):
@@ -514,7 +528,7 @@ def ddpm_sample(score_model: ScoreModel, schedule: NoiseSchedule, paths: int,
     _check_schedule(score_model, schedule)
     return _integrate(seed, paths, schedule.times, score_model.target.d,
                       _ddpm_step(score_model, schedule, final_noise), record,
-                      "ddpm")
+                      "ddpm", score_model, schedule)
 
 
 def reverse_transition_density(target: MixtureTarget, schedule: NoiseSchedule,

@@ -61,7 +61,7 @@ def test_acceptance_01_eq9_pathwise_equivalence():
 def test_acceptance_02_score_matching_identity():
     t0 = time.time()
     model = dl.ScoreModel(MIX, LIN100, mode="perturbed", bias=1.0)
-    rep = dl.denoise_identity_check(MIX, LIN100, model, 100000, seed=7)
+    rep = dl.denoise_identity_check(model, 100000, seed=7)
     elapsed = time.time() - t0
     ok = rep.pooled_relative_gap <= 0.02 and rep.max_step_z <= 3.0 and elapsed < 30.0
     _report(2, ok, f"pooled rel gap {rep.pooled_relative_gap:.4%} (tol 2%), "
@@ -115,7 +115,7 @@ def test_acceptance_04_fbsde_sign_adjudication():
     subs = [128, 256, 512, 1024]
     for s_count in subs:
         batch = dl.reverse_sde(SHIFTED, sched, s_count, 256, seed=42)
-        both = dl.bsde_residual_both(SHIFTED, sched, batch, 0)
+        both = dl.bsde_residual_both(batch, 0)
         rms[-1].append(both[-1].rms)
         rms[1].append(both[1].rms)
         closed = _shifted_left_sum_residual(sched, s_count, mu)
@@ -164,11 +164,11 @@ def test_acceptance_05_yast_martingale_identity():
     sched = dl.constant_rate(8, 2.0)
     batch = dl.reverse_sde(SHIFTED, sched, 512, 10000, seed=5)
     mid = (batch.times.size - 1) // 2
-    gauss = dl.yast_check(SHIFTED, sched, batch, mid)
+    gauss = dl.yast_check(batch, mid)
     sched_mix = dl.constant_rate(16, 4.0)
     batch_mix = dl.reverse_sde(MIX, sched_mix, 8, 100000, seed=6)
     mid_mix = (batch_mix.times.size - 1) // 2
-    regr = dl.yast_check(MIX, sched_mix, batch_mix, mid_mix)
+    regr = dl.yast_check(batch_mix, mid_mix)
     elapsed = time.time() - t0
     ok = gauss.rms <= 0.05 and regr.rms_relative <= 0.10 and elapsed < 120.0
     _report(5, ok, f"gaussian-oracle rms {gauss.rms:.2e} (tol 0.05), "
@@ -182,7 +182,7 @@ def test_acceptance_05_yast_martingale_identity():
 def test_acceptance_06_schrodinger_bound():
     t0 = time.time()
     batch = dl.reverse_sde(MIX, LIN200, 6, 80000, seed=21, record="terminal")
-    rep = dl.schrodinger_bound(MIX, LIN200, batch)
+    rep = dl.schrodinger_bound(batch)
     elapsed = time.time() - t0
     ok = rep.verdict == "holds" and elapsed < 120.0
     _report(6, ok, f"TV {rep.lhs:.4f} <= RHS {rep.rhs:.4f} + 3se {3 * rep.lhs_se:.4f} "
@@ -237,7 +237,7 @@ def test_acceptance_09_learning_error_scaling():
     tvs, loss_ok = [], True
     for bias in (0.0, 0.25, 0.5, 1.0):
         model = dl.ScoreModel(MIX, LIN100, mode="perturbed", bias=bias)
-        loss = dl.score_loss(MIX, LIN100, model, 10000, seed=19)
+        loss = dl.score_loss(model, 10000, seed=19)
         loss_ok &= abs(loss.loss - bias * bias) <= 3.0 * loss.std_err + 1e-12
         batch = dl.ddpm_sample(model, LIN100, 60000, seed=19, record="terminal")
         v, se, _ = dl.tv_hist_vs_density(batch.terminal_states[~batch.diverged],

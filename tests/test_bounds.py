@@ -59,7 +59,7 @@ def test_moment_report_standard_gaussian():
     g = gaussian_target([0.0])
     sched = constant_rate(10, 2.0)
     batch = reverse_sde(g, sched, 4, 4000, seed=1)
-    rep = moment_report(sched, batch, growth_constants(g))
+    rep = moment_report(batch, growth_constants(g))
     assert rep["all_finite"]
     dev = np.abs(rep["second_moment"] - 1.0) / rep["second_moment_se"]
     assert dev.max() <= 4.0
@@ -72,7 +72,7 @@ def test_moment_report_shifted_gaussian_ou_oracle():
     g = gaussian_target([mu0])
     sched = constant_rate(10, 2.0)
     batch = reverse_sde(g, sched, 8, 6000, seed=2)
-    rep = moment_report(sched, batch, growth_constants(g))
+    rep = moment_report(batch, growth_constants(g))
     times = rep["times"]
     for idx in range(0, times.size, 20):
         r = times[idx]
@@ -90,7 +90,7 @@ def test_schrodinger_bound_standard_gaussian():
     g = gaussian_target([0.0])
     sched = constant_rate(50, 4.0)
     batch = reverse_sde(g, sched, 2, 20000, seed=3, record="terminal")
-    rep = schrodinger_bound(g, sched, batch)
+    rep = schrodinger_bound(batch)
     assert rep.verdict == "holds"
     assert rep.lhs <= 0.05
     assert rep.rhs > 0.0
@@ -100,13 +100,13 @@ def test_schrodinger_bound_standard_gaussian():
 def test_schrodinger_bound_mixture_and_monotone_rhs():
     sched = from_linear_variance(50, 1e-3, 0.05)
     batch = reverse_sde(MIX, sched, 2, 20000, seed=4, record="terminal")
-    rep = schrodinger_bound(MIX, sched, batch)
+    rep = schrodinger_bound(batch)
     assert rep.verdict == "holds"
     rhs_values = []
     for total in (1.0, 2.0, 4.0, 8.0):
         s = constant_rate(20, total)
         b = reverse_sde(MIX, s, 1, 2000, seed=5, record="terminal")
-        rhs_values.append(schrodinger_bound(MIX, s, b).rhs)
+        rhs_values.append(schrodinger_bound(b).rhs)
     assert all(b < a for a, b in zip(rhs_values, rhs_values[1:]))
 
 
@@ -160,8 +160,7 @@ D3_SCHED = constant_rate(20, 4.0)
 D1_ONLY = {
     "girsanov_bound": lambda: girsanov_bound(
         D3, D3_SCHED, ScoreModel(D3, D3_SCHED), 10, 1, seed=1),
-    "schrodinger_bound": lambda: schrodinger_bound(
-        D3, D3_SCHED, reverse_sde(D3, D3_SCHED, 1, 10, seed=1)),
+    "schrodinger_bound": lambda: schrodinger_bound(reverse_sde(D3, D3_SCHED, 1, 10, seed=1)),
     "fd_bin_edges": lambda: fd_bin_edges(D3, 100),
 }
 
@@ -199,7 +198,7 @@ def test_bound_report_csv(tmp_path):
     g = gaussian_target([0.0])
     sched = constant_rate(20, 2.0)
     batch = reverse_sde(g, sched, 1, 4000, seed=9, record="terminal")
-    rep = schrodinger_bound(g, sched, batch)
+    rep = schrodinger_bound(batch)
     path = tmp_path / "bounds.csv"
     write_bound_reports(path, [rep])
     lines = path.read_text().splitlines()
@@ -239,6 +238,6 @@ def test_all_diverged_batch_raises_in_schrodinger_and_moment_report():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^schrodinger_bound: {limit}"):
-            schrodinger_bound(MIX, sched, batch)
+            schrodinger_bound(batch)
         with pytest.raises(ValueError, match=rf"^moment_report: {limit}"):
-            moment_report(sched, batch, growth_constants(MIX))
+            moment_report(batch, growth_constants(MIX))

@@ -675,7 +675,7 @@ def test_bounds_sweep_totals_read_the_closed_form_rhs(tmp_path, monkeypatch):
         schedule = ddpmlab.constant_rate(20, total)
         batch = ddpmlab.reverse_sde(ddpmlab.symmetric_mixture(), schedule, 1, 200,
                                     seed=13, record="terminal")
-        rhs = ddpmlab.schrodinger_bound(ddpmlab.symmetric_mixture(), schedule, batch).rhs
+        rhs = ddpmlab.schrodinger_bound(batch).rhs
         expected.append(f"REPORT schrodinger_rhs_total{total:g}: {rhs:.6g}")
     assert reported == expected
     assert "PASS schrodinger_rhs_monotone: rhs nonincreasing in -log alpha_bar_n" in lines

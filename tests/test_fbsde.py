@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from ddpmlab import fbsde, simulate
+from ddpmlab.bounds import schrodinger_bound
 from ddpmlab.fbsde import (ADJUDICATED_DRIFT_SIGN, ResidualStats, YastReport, _along,
                            _poly_basis, bsde_residual_both, f_weight,
                            h_martingale_check, pde_residual, yast_check, z_energy)
 from ddpmlab.metrics import grid_from_density, score_growth_audit
 from ddpmlab.schedule import constant_rate, from_linear_variance
-from ddpmlab.simulate import _reverse_grid, forward_chain, reverse_sde
+from ddpmlab.simulate import (ScoreModel, _reverse_grid, ddpm_sample, forward_chain,
+                              reverse_sde)
 from ddpmlab.target import (GaussianMixtureDensity, MixtureTarget, default_axis,
                             fokker_planck_residual, gaussian_target, growth_constants,
                             symmetric_mixture)
@@ -37,7 +39,7 @@ def test_y_and_z_on_the_standard_gaussian():
     batch = reverse_sde(GAUSS, SCHED, 16, 64, seed=1)
     beta = 2.0  # constant schedule, total 2
     steps = 0
-    for k, betas, family, x in _along(GAUSS, SCHED, batch, 0):
+    for k, betas, family, x in _along(batch, 0):
         assert k == steps
         assert np.array_equal(x, batch.states[:, k:k + betas.size].transpose(1, 0, 2))
         assert np.allclose(family.score(x), -x, atol=1e-14)
@@ -50,7 +52,7 @@ def test_y_and_z_on_the_standard_gaussian():
 
 def test_bsde_residual_standard_gaussian_vanishing_sign():
     batch = reverse_sde(GAUSS, SCHED, 64, 128, seed=2)
-    both = bsde_residual_both(GAUSS, SCHED, batch, 0)
+    both = bsde_residual_both(batch, 0)
     # Euler telescopes exactly against left-point sums for this target
     assert both[-1].rms <= 1e-12
     assert both[-1].rms <= 0.1
@@ -61,7 +63,7 @@ def test_bsde_residual_shifted_gaussian_rates():
     rms = {}
     for substeps in (32, 64, 128):
         batch = reverse_sde(SHIFTED, SCHED, substeps, 128, seed=3)
-        both = bsde_residual_both(SHIFTED, SCHED, batch, 0)
+        both = bsde_residual_both(batch, 0)
         rms[substeps] = both[-1].rms
         assert both[1].rms >= 10.0 * both[-1].rms
     # deterministic quadrature error, first order in the step
@@ -71,7 +73,7 @@ def test_bsde_residual_shifted_gaussian_rates():
 
 def test_bsde_residual_terminal_index_is_zero():
     batch = reverse_sde(SHIFTED, SCHED, 16, 32, seed=4)
-    stats = bsde_residual_both(SHIFTED, SCHED, batch, batch.times.size - 1)[-1]
+    stats = bsde_residual_both(batch, batch.times.size - 1)[-1]
     assert stats.rms == pytest.approx(0.0, abs=1e-14)
 
 
@@ -84,7 +86,7 @@ def test_bsde_residual_takes_y_t_from_its_traversal(monkeypatch, t_index):
     family = MixtureTarget._family
     monkeypatch.setattr(MixtureTarget, "_family", lambda self, schedule, t: (
         built.append(np.size(t)) or family(self, schedule, t)))
-    both = bsde_residual_both(MIX, SCHED, batch, t_index)
+    both = bsde_residual_both(batch, t_index)
     assert built == [128 - t_index]
     if t_index == 128:
         assert both[-1].rms == both[1].rms == 0.0
@@ -93,7 +95,7 @@ def test_bsde_residual_takes_y_t_from_its_traversal(monkeypatch, t_index):
 def test_bsde_requires_noises():
     batch = reverse_sde(SHIFTED, SCHED, 4, 16, seed=5, record="terminal")
     with pytest.raises(ValueError):
-        bsde_residual_both(SHIFTED, SCHED, batch, 0)
+        bsde_residual_both(batch, 0)
 
 
 def test_backward_checks_reject_an_index_a_batch_or_a_schedule_they_cannot_walk():
@@ -101,24 +103,42 @@ def test_backward_checks_reject_an_index_a_batch_or_a_schedule_they_cannot_walk(
     last = batch.times.size - 1
     for t_index in (-1, last + 1):
         with pytest.raises(ValueError, match=r"^t_index outside the simulation grid$"):
-            bsde_residual_both(SHIFTED, SCHED, batch, t_index)
+            bsde_residual_both(batch, t_index)
     forward = forward_chain(SHIFTED, SCHED, 16, seed=5)
-    with pytest.raises(ValueError, match=r"^expected a reverse batch$"):
-        bsde_residual_both(SHIFTED, SCHED, forward, 0)
-    # 32 substeps of the 8-step schedule do not refine a 3-step one
-    with pytest.raises(ValueError,
-                       match=r"^batch grid does not refine the schedule intervals$"):
-        bsde_residual_both(SHIFTED, constant_rate(3, 2.0), batch, 0)
+    with pytest.raises(ValueError, match=r"^bsde_residual_both: expected an "
+                                         r"exact-score reverse batch$"):
+        bsde_residual_both(forward, 0)
     with pytest.raises(ValueError, match=r"^t_index must leave a nonempty interval "
                                          r"\[t, 1\]$"):
-        yast_check(SHIFTED, SCHED, batch, last)
-    assert yast_check(SHIFTED, SCHED, batch, last - 1).t_index == last - 1
+        yast_check(batch, last)
+    assert yast_check(batch, last - 1).t_index == last - 1
+
+
+def test_exact_path_checks_refuse_a_batch_of_another_process():
+    # forward, DDPM and model-score reverse paths do not follow the exact
+    # reverse law the backward relation and the bridge bound describe
+    model = ScoreModel(SHIFTED, SCHED, mode="exact")
+    others = [forward_chain(SHIFTED, SCHED, 256, seed=1),
+              ddpm_sample(model, SCHED, 256, seed=1),
+              reverse_sde(model, SCHED, 16, 256, seed=1, score_mode="model")]
+    checks = {"bsde_residual_both": lambda b: bsde_residual_both(b, 0),
+              "z_energy": z_energy,
+              "yast_check": lambda b: yast_check(b, 0),
+              "schrodinger_bound": schrodinger_bound}
+    for name, check in checks.items():
+        for batch in others:
+            with pytest.raises(ValueError, match=rf"^{name}: expected an exact-score "
+                                                 r"reverse batch$"):
+                check(batch)
+    exact = reverse_sde(SHIFTED, SCHED, 16, 256, seed=1)
+    assert bsde_residual_both(exact, 0)[-1].rms < 0.01
+    assert schrodinger_bound(exact).name == "schrodinger"
 
 
 def test_z_energy_gaussian_closed_form():
     batch = reverse_sde(GAUSS, SCHED, 16, 32, seed=6)
     total_beta = float(SCHED.integrated_beta(1.0))
-    assert z_energy(GAUSS, SCHED, batch) == pytest.approx(total_beta, rel=1e-12)
+    assert z_energy(batch) == pytest.approx(total_beta, rel=1e-12)
 
 
 def test_z_matches_finite_difference_gradient_of_v():
@@ -140,12 +160,12 @@ def test_z_matches_finite_difference_gradient_of_v():
 def test_yast_gaussian_oracle_modes():
     batch = reverse_sde(GAUSS, SCHED, 128, 2000, seed=8)
     mid = (batch.times.size - 1) // 2
-    rep = yast_check(GAUSS, SCHED, batch, mid)
+    rep = yast_check(batch, mid)
     assert rep.mode == "gaussian"
     assert rep.rms <= 0.05
     assert rep.tower_gap <= 4.0 * rep.tower_se
     shifted = reverse_sde(SHIFTED, SCHED, 128, 2000, seed=9)
-    rep2 = yast_check(SHIFTED, SCHED, shifted, mid)
+    rep2 = yast_check(shifted, mid)
     assert rep2.rms <= 0.05
     assert rep2.tower_gap <= 4.0 * rep2.tower_se
 
@@ -154,7 +174,7 @@ def test_yast_regression_mode_mixture():
     sched = constant_rate(16, 4.0)
     batch = reverse_sde(MIX, sched, 8, 30000, seed=10)
     mid = (batch.times.size - 1) // 2
-    rep = yast_check(MIX, sched, batch, mid)
+    rep = yast_check(batch, mid)
     assert rep.mode == "regression"
     assert rep.rms_relative <= 0.10
 
@@ -168,7 +188,7 @@ def test_yast_check_takes_y_t_from_its_traversal(monkeypatch, t_index):
     family = MixtureTarget._family
     monkeypatch.setattr(MixtureTarget, "_family", lambda self, schedule, t: (
         built.append(np.size(t)) or family(self, schedule, t)))
-    rep = yast_check(GAUSS, SCHED, batch, t_index)
+    rep = yast_check(batch, t_index)
     assert built == [128 - t_index]
     assert rep.mode == "gaussian" and rep.paths == 64
 
@@ -177,7 +197,7 @@ def test_yast_regression_requires_paths():
     sched = constant_rate(4, 4.0)
     batch = reverse_sde(MIX, sched, 2, 200, seed=11)
     with pytest.raises(ValueError, match="^regression mode needs at least 10000 paths$"):
-        yast_check(MIX, sched, batch, 2)
+        yast_check(batch, 2)
 
 
 def test_yast_check_takes_regression_for_a_gaussian_of_other_covariance():
@@ -185,7 +205,7 @@ def test_yast_check_takes_regression_for_a_gaussian_of_other_covariance():
     wide = gaussian_target([1.5], [[0.25]])
     sched = constant_rate(4, 4.0)
     batch = reverse_sde(wide, sched, 8, 10000, seed=5)
-    rep = yast_check(wide, sched, batch, (batch.times.size - 1) // 2)
+    rep = yast_check(batch, (batch.times.size - 1) // 2)
     assert rep.mode == "regression"
     assert rep.rms_relative <= 0.10
 
@@ -239,10 +259,10 @@ def test_one_pi_per_block_in_bsde_residual_both(monkeypatch, target):
     # Y and Z of a block read one pi, the terminal score one more; with one
     # component the block's Y and Z are score's and hessian_log's closed forms
     batch = reverse_sde(target, SCHED, 16, 300, seed=6)  # 128 steps, blocks of 27
-    blocks = len(list(_along(target, SCHED, batch, 5)))
+    blocks = len(list(_along(batch, 5)))
     calls = {name: _counting(monkeypatch, name)
              for name in ("posterior_weights", "score", "hessian_log")}
-    bsde_residual_both(target, SCHED, batch, 5)
+    bsde_residual_both(batch, 5)
     assert blocks == 5
     if target.n_components > 1:
         assert [len(calls[name]) for name in calls] == [blocks + 1, 1, 0]
@@ -293,9 +313,9 @@ def all_diverged_batch():
 
 
 ALL_DIVERGED = {
-    "bsde_residual_both": lambda b: bsde_residual_both(SHIFTED, EXTREME, b, 0),
-    "z_energy": lambda b: z_energy(SHIFTED, EXTREME, b),
-    "yast_check": lambda b: yast_check(SHIFTED, EXTREME, b, 3),
+    "bsde_residual_both": lambda b: bsde_residual_both(b, 0),
+    "z_energy": z_energy,
+    "yast_check": lambda b: yast_check(b, 3),
 }
 
 
@@ -321,8 +341,8 @@ def test_extreme_schedules_adjudicate_cleanly(sched):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = reverse_sde(SHIFTED, sched, 2, 200, seed=3)
-        both = bsde_residual_both(SHIFTED, sched, batch, 0)
-        energy = z_energy(SHIFTED, sched, batch)
+        both = bsde_residual_both(batch, 0)
+        energy = z_energy(batch)
     assert not batch.diverged.any() and np.all(np.isfinite(batch.states))
     adjudicated = both[ADJUDICATED_DRIFT_SIGN]
     opposite = both[-ADJUDICATED_DRIFT_SIGN]
@@ -479,12 +499,12 @@ def test_blocked_walk_equals_the_per_step_walk_bit_for_bit(name):
     last = batch.times.size - 1
     assert last % max(1, fbsde._BLOCK_FLOATS // (paths * target.d ** 2)) != 0
     for t_index in (0, 5, last - 1, last):
-        assert (bsde_residual_both(target, sched, batch, t_index)
+        assert (bsde_residual_both(batch, t_index)
                 == _bsde_reference(target, sched, batch, t_index)), t_index
-    assert z_energy(target, sched, batch) == _z_energy_reference(target, sched, batch)
+    assert z_energy(batch) == _z_energy_reference(target, sched, batch)
     if fbsde._gaussian_oracle(target):
         for t_index in (0, 5, last - 1):
-            assert (yast_check(target, sched, batch, t_index)
+            assert (yast_check(batch, t_index)
                     == _gaussian_yast_reference(target, sched, batch, t_index)), t_index
 
 
@@ -494,10 +514,9 @@ def test_blocked_walk_bit_for_bit_on_a_batch_with_diverged_paths():
         batch = reverse_sde(MIX, constant_rate(10, 120.0), 2, 900, seed=3)
     assert 0 < batch.diverged.sum() < batch.paths
     for t_index in (0, 5, 18, 19, 20):
-        assert (bsde_residual_both(MIX, constant_rate(10, 120.0), batch, t_index)
-                == _bsde_reference(MIX, constant_rate(10, 120.0), batch, t_index))
-    assert (z_energy(MIX, constant_rate(10, 120.0), batch)
-            == _z_energy_reference(MIX, constant_rate(10, 120.0), batch))
+        assert (bsde_residual_both(batch, t_index)
+                == _bsde_reference(MIX, batch.schedule, batch, t_index))
+    assert z_energy(batch) == _z_energy_reference(MIX, batch.schedule, batch)
 
 
 @pytest.mark.parametrize("t_index", [0, 5, 63])
@@ -510,7 +529,7 @@ def test_blocked_yast_regression_sums_bit_for_bit(monkeypatch, t_index):
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (
         seen.setdefault("integral", b), lstsq(a, b, rcond=rcond))[1])
-    rep = yast_check(MIX, sched, batch, t_index)
+    rep = yast_check(batch, t_index)
     y_t, integral, _ = _yast_sums_reference(MIX, sched, batch, t_index)
     assert rep.mode == "regression"
     assert np.array_equal(seen["integral"], integral)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ddpmlab import metrics
 from ddpmlab.experiments import parse_config, run
 from ddpmlab.metrics import (DensityGrid, denoise_identity_check,
                              fd_bin_edges, grid_from_density, kl,
@@ -162,21 +164,21 @@ def test_hist_tv_rejects_empty_samples():
 
 def test_score_loss_exact_model_is_zero():
     model = ScoreModel(MIX, SCHED, mode="exact")
-    rep = score_loss(MIX, SCHED, model, 500, seed=4)
+    rep = score_loss(model, 500, seed=4)
     assert rep.loss <= 1e-20
 
 
 def test_score_loss_matches_bias_squared():
     model = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.7)
-    rep = score_loss(MIX, SCHED, model, 2000, seed=5)
+    rep = score_loss(model, 2000, seed=5)
     assert abs(rep.loss - 0.49) <= 3.0 * rep.std_err + 1e-12
 
 
 def test_score_loss_clipped_exact_identical():
     exact = ScoreModel(MIX, SCHED, mode="exact")
     clipped = growth_clip(exact, growth_constants(MIX))
-    a = score_loss(MIX, SCHED, exact, 300, seed=6)
-    b = score_loss(MIX, SCHED, clipped, 300, seed=6)
+    a = score_loss(exact, 300, seed=6)
+    b = score_loss(clipped, 300, seed=6)
     assert a.loss == b.loss
 
 
@@ -185,23 +187,41 @@ def test_clip_never_increases_loss():
     for bias in (0.5, 5.0, 50.0):
         raw = ScoreModel(MIX, SCHED, mode="perturbed", bias=bias)
         clipped = growth_clip(raw, envelope)
-        lr = score_loss(MIX, SCHED, raw, 500, seed=7)
-        lc = score_loss(MIX, SCHED, clipped, 500, seed=7)
+        lr = score_loss(raw, 500, seed=7)
+        lc = score_loss(clipped, 500, seed=7)
         assert lc.loss <= lr.loss + 1e-12
 
 
 def _model_on(target, mode):
     wild = ScoreModel(target, SCHED, mode="perturbed", bias=9.0, noise_amplitude=0.4)
-    if mode in ("oracle", "projection"):
-        return growth_clip(wild, growth_constants(target), variant=mode)
+    if mode in ("oracle", "projection"):  # c0 = 1, so that the clip acts at every step
+        tight = dataclasses.replace(growth_constants(target), c0=1.0)
+        return growth_clip(wild, tight, variant=mode)
     return wild if mode == "perturbed" else ScoreModel(target, SCHED, mode=mode)
 
 
-@pytest.mark.parametrize("mode", ["exact", "perturbed", "oracle", "projection", "zero"])
+MODES = ["exact", "perturbed", "oracle", "projection", "zero"]
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_score_loss_shares_the_truth_only_with_a_model_on_the_same_target(
         monkeypatch, mode):
-    # a model over an equal but distinct target scores x itself; both give the
-    # same report bit for bit
+    # s_step(i, x, truth) with the model's own law's score is s_step(i, x) bit
+    # for bit and leaves truth as it was, so score_loss may hand the model the
+    # truth it scored: its report is that of a model scoring x itself
+    model = _model_on(MIX, mode)
+    x = np.linspace(-40.0, 40.0, 801)[:, None]
+    clipped = []
+    for i in range(1, SCHED.n + 1):
+        truth = model._laws[i - 1].score(x)
+        kept = truth.copy()
+        truth.flags.writeable = False
+        assert model.s_step(i, x, truth).tobytes() == model.s_step(i, x).tobytes()
+        assert truth.tobytes() == kept.tobytes()
+        if mode in ("oracle", "projection"):
+            inner = model._clip[0]
+            clipped.append(model.s_step(i, x).tobytes() != inner.s_step(i, x).tobytes())
+    assert all(clipped) if mode in ("oracle", "projection") else clipped == []
     given = []
     s_step = ScoreModel.s_step
 
@@ -210,27 +230,23 @@ def test_score_loss_shares_the_truth_only_with_a_model_on_the_same_target(
         return s_step(self, i, x, truth)
 
     monkeypatch.setattr(ScoreModel, "s_step", spy)
-    twin = symmetric_mixture()
-    assert twin is not MIX and np.array_equal(twin.means, MIX.means)
-    shared = score_loss(MIX, SCHED, _model_on(MIX, mode), 400, seed=12)
+    shared = score_loss(model, 400, seed=12)
     assert given and all(given)
-    given.clear()
-    fallback = score_loss(MIX, SCHED, _model_on(twin, mode), 400, seed=12)
-    assert given and not any(given)
+    monkeypatch.setattr(ScoreModel, "s_step", lambda self, i, x, truth=None:
+                        s_step(self, i, x))
+    alone = score_loss(model, 400, seed=12)
     for field in ("loss", "std_err", "per_step", "per_step_se", "samples"):
-        assert np.array_equal(getattr(shared, field), getattr(fallback, field)), field
+        assert np.array_equal(getattr(shared, field), getattr(alone, field)), field
     if mode != "exact":
         assert shared.loss > 0.0
 
 
-@pytest.mark.parametrize("mode", ["exact", "perturbed", "oracle", "projection", "zero"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("make", [symmetric_mixture, lambda: gaussian_target([1.5], [[0.5]])],
                          ids=["mixture", "gaussian"])
 def test_identity_check_scores_each_side_once_with_a_model_on_the_same_target(
         monkeypatch, make, mode):
-    # one score call per side and step when the model holds the target itself;
-    # a model over an equal but distinct target scores x again, and both give
-    # the same report bit for bit
+    # one score call per side and step: the model is handed the truth
     calls = []
     score = GaussianMixtureDensity.score
 
@@ -239,24 +255,30 @@ def test_identity_check_scores_each_side_once_with_a_model_on_the_same_target(
         return score(self, x)
 
     monkeypatch.setattr(GaussianMixtureDensity, "score", counted)
-    target, twin = make(), make()
-    shared = denoise_identity_check(target, SCHED, _model_on(target, mode), 400, seed=13)
+    rep = denoise_identity_check(_model_on(make(), mode), 400, seed=13)
     assert calls == [200] * (2 * SCHED.n)
-    calls.clear()
-    fallback = denoise_identity_check(target, SCHED, _model_on(twin, mode), 400, seed=13)
-    # the oracle clip scores the rows it replaces once more
-    least = (2 if mode == "zero" else 4) * SCHED.n
-    assert len(calls) >= least and (mode == "oracle" or len(calls) == least)
-    for field in ("pooled_lhs", "pooled_gap", "pooled_gap_se", "per_step_gap",
-                  "per_step_se", "samples"):
-        assert np.array_equal(getattr(shared, field), getattr(fallback, field)), field
+    assert rep.samples == 400
     if mode != "exact":
-        assert shared.pooled_lhs > 0.0
+        assert rep.pooled_lhs > 0.0
+
+
+@pytest.mark.parametrize("samples", [1, 0, -5])
+def test_identity_check_needs_a_pair(monkeypatch, samples):
+    # refused before any draw, where it once ran one pair and reported 2 samples
+    drawn = []
+    monkeypatch.setattr(metrics, "_draw_block", lambda *args, **kw: drawn.append(args))
+    model = ScoreModel(MIX, constant_rate(10, 2.0), mode="perturbed", bias=1.0)
+    with pytest.raises(ValueError, match=r"^samples must be >= 2$"):
+        denoise_identity_check(model, samples, seed=1)
+    assert drawn == []
+    monkeypatch.undo()
+    assert denoise_identity_check(ScoreModel(MIX, constant_rate(10, 2.0)), 2,
+                                  seed=1).samples == 2
 
 
 def test_identity_check_biased_model():
     model = ScoreModel(MIX, SCHED, mode="perturbed", bias=1.0)
-    rep = denoise_identity_check(MIX, SCHED, model, 20000, seed=8)
+    rep = denoise_identity_check(model, 20000, seed=8)
     # identity is exact: the pooled gap is pure Monte Carlo noise
     assert abs(rep.pooled_gap) <= 3.0 * rep.pooled_gap_se
     assert rep.max_step_z <= 3.0
@@ -265,7 +287,7 @@ def test_identity_check_biased_model():
 
 def test_identity_check_exact_model_consistency():
     model = ScoreModel(MIX, SCHED, mode="exact")
-    rep = denoise_identity_check(MIX, SCHED, model, 20000, seed=9)
+    rep = denoise_identity_check(model, 20000, seed=9)
     assert rep.pooled_lhs <= 1e-20
     # gap is LHS - RHS = -RHS here; must vanish within noise
     assert abs(rep.pooled_gap) <= 3.0 * rep.pooled_gap_se + 1e-12
@@ -280,7 +302,7 @@ def test_identity_check_single_step_quadrature_oracle():
     sched = NoiseSchedule([0.5])
     bias = 0.8
     model = ScoreModel(tight, sched, mode="perturbed", bias=bias)
-    rep = denoise_identity_check(tight, sched, model, 40000, seed=10)
+    rep = denoise_identity_check(model, 40000, seed=10)
     # LHS = |bias|^2 exactly; RHS differs only by Monte Carlo noise
     assert rep.pooled_lhs == pytest.approx(bias**2, rel=1e-3)
     assert abs(rep.pooled_gap) <= 3.0 * rep.pooled_gap_se + 1e-10
@@ -304,7 +326,7 @@ def test_identity_gap_shrinks_with_samples():
     sizes = (100, 1000, 10000, 100000)
     gaps = []
     for samples in sizes:
-        rep = denoise_identity_check(MIX, SCHED, model, samples, seed=11)
+        rep = denoise_identity_check(model, samples, seed=11)
         gaps.append(rep.pooled_gap_se)
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.15)
@@ -326,23 +348,6 @@ def test_metric_report_rejects_nan(tmp_path):
     write_metric_report(tmp_path / "m.csv", [("x", 0, 1.5, 0.1, 10)])
     assert (tmp_path / "m.csv").read_text().splitlines()[0] == \
         "name,i_or_t,value,std_err,samples"
-
-
-@pytest.mark.parametrize("model_schedule, schedule, message", [
-    # same step count, different alphas: an exact model would score 0.155
-    (constant_rate(10, 2.0), constant_rate(10, 4.0),
-     "10-step schedule that differs from the 10-step schedule"),
-    # a longer schedule than the model's would reach past its last step
-    (constant_rate(10, 2.0), constant_rate(12, 2.0),
-     "10-step schedule that differs from the 12-step schedule"),
-], ids=["same_n", "longer"])
-def test_loss_and_identity_reject_a_model_on_another_schedule(model_schedule, schedule,
-                                                              message):
-    model = ScoreModel(MIX, model_schedule, mode="exact")
-    with pytest.raises(ValueError, match=message):
-        score_loss(MIX, schedule, model, 200, seed=1)
-    with pytest.raises(ValueError, match=message):
-        denoise_identity_check(MIX, schedule, model, 200, seed=1)
 
 
 MIX2 = MixtureTarget([0.3, 0.7], [[-1.0, 0.5], [1.5, -0.5]], [[1.5, 0.4], [0.4, 0.8]])
@@ -385,4 +390,4 @@ def test_grid_from_density_refuses_negative_values():
 def test_score_loss_needs_a_sample():
     model = ScoreModel(MIX, SCHED, mode="exact")
     with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-        score_loss(MIX, SCHED, model, 0, seed=1)
+        score_loss(model, 0, seed=1)

@@ -589,18 +589,59 @@ def test_chunks_of_sets_the_chunk_size():
     assert _chunk_size(300, 41, 3) == 300
 
 
-def test_no_function_takes_a_chunk_setting():
+def _all_functions():
+    """(qualified name, function) for every module-level function and every
+    method of a module-level class of the package."""
     modules = [importlib.import_module(f"ddpmlab.{name}") for name in (
         "bounds", "cli", "experiments", "fbsde", "metrics", "schedule", "simulate",
         "target")]
-    # every module-level function and every method of a module-level class
     functions = [(f"{module.__name__}.{name}", member) for module in modules
                  for name, member in vars(module).items() if inspect.isfunction(member)]
     functions += [(f"{module.__name__}.{name}.{method}", member) for module in modules
                   for name, cls in vars(module).items() if inspect.isclass(cls)
                   for method, member in inspect.getmembers(cls, inspect.isfunction)]
     assert len(functions) > 100
-    assert [name for name, f in functions if "chunk" in inspect.signature(f).parameters] == []
+    return functions
+
+
+def test_no_function_takes_a_chunk_setting():
+    assert [name for name, f in _all_functions()
+            if "chunk" in inspect.signature(f).parameters] == []
+
+
+def test_checks_take_the_batch_or_the_model_alone():
+    # a batch holds the target and schedule that simulated it, a model its
+    # own: the checks read them there, and take neither beside it
+    want = {"fbsde.bsde_residual_both": ["batch", "t_index"],
+            "fbsde.z_energy": ["batch"],
+            "fbsde.yast_check": ["batch", "t_index"],
+            "bounds.schrodinger_bound": ["batch"],
+            "bounds.moment_report": ["batch", "envelope"],
+            "metrics.score_loss": ["score_model", "samples", "seed"],
+            "metrics.denoise_identity_check": ["score_model", "samples", "seed"]}
+    functions = dict(_all_functions())
+    for name, params in want.items():
+        assert list(inspect.signature(functions[f"ddpmlab.{name}"]).parameters) == params
+    # only the functions a benchmark calls with a schedule still take both
+    both = {f"{f.__module__}.{f.__qualname__}" for f in functions.values()
+            if not f.__name__.startswith("_")
+            and {"batch", "score_model", "source"} & set(inspect.signature(f).parameters)
+            and {"target", "schedule"} & set(inspect.signature(f).parameters)}
+    assert sorted(both) == ["ddpmlab.bounds.girsanov_bound", "ddpmlab.simulate.ddpm_sample",
+                            "ddpmlab.simulate.reverse_sde"]
+
+
+def test_every_sampler_batch_holds_the_source_and_schedule_it_was_given():
+    model = ScoreModel(MIX, SCHED, mode="perturbed", bias=0.3)
+    for record in ("full", "terminal"):
+        for source, batch in ((MIX, forward_chain(MIX, SCHED, 30, 1, record=record)),
+                              (MIX, reverse_sde(MIX, SCHED, 2, 30, 1, record=record)),
+                              (model, reverse_sde(model, SCHED, 1, 30, 1,
+                                                  score_mode="model", record=record)),
+                              (model, reverse_sde(model, SCHED, 2, 30, 1,
+                                                  score_mode="model", record=record)),
+                              (model, ddpm_sample(model, SCHED, 30, 1, record=record))):
+            assert batch.source is source and batch.schedule is SCHED
 
 
 # rows each sampler draws per path on SCHED's 20 steps; only forward_chain's
@@ -828,7 +869,7 @@ def test_some_diverging_paths_freeze_at_their_last_in_limit_state(chunk):
         with _chunks_of(chunk):
             batch = _integrate(3, paths, np.linspace(0.0, 1.0, steps + 1), d,
                                lambda k, x, z, rows: advance(x, z, rows),
-                               "full", "test", limit=limit)
+                               "full", "test", None, None, limit=limit)
         x = batch.states[:, 0].copy()
         alive = np.ones(paths, dtype=bool)
         frozen_at = np.full(paths, steps)
@@ -869,7 +910,7 @@ def test_a_frozen_path_stays_frozen_while_its_chunk_is_back_in_the_box(chunk):
 
         with _chunks_of(chunk):
             batch = _integrate(5, paths, np.linspace(0.0, 1.0, steps + 1), d, step,
-                               "full", "test", limit=limit)
+                               "full", "test", None, None, limit=limit)
         assert batch.states[2, 4, 0] > box
         x = batch.states[:, 0].copy()
         alive = np.ones(paths, dtype=bool)
